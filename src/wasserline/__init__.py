@@ -102,6 +102,6 @@ from .midpoints import (
 from .reports import ReportRow, VerificationReport, rows_to_csv
 from .suites import SUITES, run_suite, suite_ids
 
-__version__ = "1.0.0"
+__version__ = "0.1.0"
 
 __all__ = [name for name in dir() if not name.startswith("_")]

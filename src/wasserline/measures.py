@@ -103,7 +103,12 @@ class Measure:
 
 @dataclass(frozen=True, eq=False)
 class DiscreteMeasure:
-    """Sorted atoms with merged positions and normalized weights."""
+    """Sorted atoms with merged positions and normalized weights.
+
+    Exactly tied positions merge into one atom: its position is the first
+    of the tied ones in input order (which decides between 0.0 and -0.0),
+    and its weight the sum of theirs, added in input order.
+    """
 
     positions: np.ndarray
     weights: np.ndarray
@@ -120,13 +125,18 @@ class DiscreteMeasure:
         total = float(np.sum(w))
         if abs(total - 1.0) > WEIGHT_TOL:
             raise WeightSumOutOfTolerance(f"weights sum to {total!r}")
-        order = np.argsort(pos, kind="stable")
-        pos, w = pos[order], w[order]
-        # merge duplicates (exact position ties)
-        uniq, inverse = np.unique(pos, return_inverse=True)
-        if len(uniq) != len(pos):
-            w = np.bincount(inverse, weights=w)
-            pos = uniq
+        # the stable sort that the tie rule needs costs about four unstable
+        # ones, so it only runs when there is a tie
+        order = np.argsort(pos)
+        ranked = pos[order]
+        fresh = ranked[1:] != ranked[:-1]
+        if fresh.all():
+            pos, w = ranked, w[order]
+        else:
+            order = np.argsort(pos, kind="stable")
+            first = np.concatenate([[True], fresh])
+            pos = pos[order][first]
+            w = np.bincount(np.cumsum(first) - 1, weights=w[order])
         w = w / total
         for name, a in (("positions", pos), ("weights", w)):
             a = np.ascontiguousarray(a)
@@ -145,12 +155,16 @@ class DiscreteMeasure:
         return [(float(x), float(m)) for x, m in zip(self.positions, self.weights)]
 
     def to_measure(self, domain: Domain = Domain.REAL_LINE) -> Measure:
-        return from_atoms(self.atoms, domain=domain)
+        # the atoms are sorted and merged already; the weights are divided
+        # by their sum once more, which moves them by at most a few ulps
+        return _atoms_measure(self.positions, self.weights / float(np.sum(self.weights)), domain)
 
     @classmethod
     def from_measure(cls, mu: Measure) -> "DiscreteMeasure":
-        atoms = mu.atoms()
-        return cls([a for a, _ in atoms], [m for _, m in atoms])
+        if not mu.is_discrete:
+            raise ValueError("measure has a continuous part")
+        q = mu.quantile
+        return cls(q.yl, np.diff(q.breaks))
 
 
 # ----------------------------------------------------------------------
@@ -189,7 +203,11 @@ def from_atoms(atoms, domain: Domain = Domain.REAL_LINE) -> Measure:
     if not pairs:
         raise NonPositiveWeight("a measure needs at least one atom")
     d = DiscreteMeasure([p for p, _ in pairs], [w for _, w in pairs])
-    pos, w = d.positions, d.weights
+    return _atoms_measure(d.positions, d.weights, domain)
+
+
+def _atoms_measure(pos: np.ndarray, w: np.ndarray, domain: Domain) -> Measure:
+    """Measure from sorted distinct positions and weights summing to ~1."""
     if domain is Domain.UNIT_INTERVAL and (pos[0] < 0.0 or pos[-1] > 1.0):
         raise PositionOutOfRange("atom outside the unit interval")
     cum = np.cumsum(w)

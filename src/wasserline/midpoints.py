@@ -249,16 +249,6 @@ def is_adjacent(mu: Measure, nu: Measure) -> AdjacencyWitness | None:
 # midpoint-set diameter probe
 
 
-def _l1_cells(w: np.ndarray, dl: np.ndarray, dr: np.ndarray) -> np.ndarray:
-    """Exact |affine| cell integrals, lean enough to broadcast widely."""
-    s = np.abs(dl) + np.abs(dr)
-    cross = (dl * dr) < 0.0
-    denom = np.where(cross, s, 1.0)
-    straight = 0.5 * w * s
-    bent = w * (dl * dl + dr * dr) / (2.0 * denom)
-    return np.where(cross, bent, straight)
-
-
 def _flatten_nodes(f: PLF) -> np.ndarray:
     out = np.empty(2 * f.num_segments)
     out[0::2] = f.yl
@@ -318,7 +308,7 @@ def midpoint_diameter_probe(
 
     m_nodes = _flatten_nodes(qm)
     n_nodes = _flatten_nodes(qn)
-    dist_mu = _l1_cells(w, nodes[:, 0::2] - m_nodes[0::2], nodes[:, 1::2] - m_nodes[1::2]).sum(axis=1)
+    dist_mu = abs_pow_cells(w, nodes[:, 0::2] - m_nodes[0::2], nodes[:, 1::2] - m_nodes[1::2], 1.0).sum(axis=1)
     target = 0.5 * D
     toward_nu = dist_mu < target
     anchor = np.where(toward_nu[:, None], n_nodes[None, :], m_nodes[None, :])
@@ -337,7 +327,7 @@ def midpoint_diameter_probe(
         i1 = min(n, i0 + chunk)
         dl = L[i0:i1, None, :] - L[None, :, :]
         dr = R[i0:i1, None, :] - R[None, :, :]
-        dmat = _l1_cells(w, dl, dr).sum(axis=2)
+        dmat = abs_pow_cells(w, dl, dr, 1.0).sum(axis=2)
         k = int(np.argmax(dmat))
         ci, cj = divmod(k, n)
         if dmat[ci, cj] > best:

@@ -93,10 +93,10 @@ class PLF:
         return np.clip(k, 0, self.num_segments - 1)
 
     def _interp(self, k: np.ndarray, y: np.ndarray) -> np.ndarray:
-        w = self.breaks[k + 1] - self.breaks[k]
-        v = self.yl[k] + (self.yr[k] - self.yl[k]) * ((y - self.breaks[k]) / w)
+        b, lo, hi = self.breaks[k], self.yl[k], self.yr[k]
+        v = lo + (hi - lo) * ((y - b) / (self.breaks[k + 1] - b))
         # rounding may poke past a segment endpoint; pin it back
-        return np.minimum(np.maximum(v, self.yl[k]), self.yr[k])
+        return np.minimum(np.maximum(v, lo), hi)
 
     def eval(self, y):
         """Right-continuous evaluation; the top break returns ``yr[-1]``."""
@@ -128,19 +128,24 @@ class PLF:
     def on_grid(self, grid: np.ndarray) -> "PLF":
         """Re-express on ``grid``, a strictly increasing superset of breaks.
 
-        Inserted nodes get the interpolated value on both sides, computed
-        by one shared expression, so the two sides agree bit for bit and
-        refinement never introduces spurious jumps.
+        An inserted node is interpolated once, and the value serves both
+        cells that meet there, so the two sides agree bit for bit and
+        refinement never introduces spurious jumps.  Only nodes inserted
+        inside rising segments are interpolated; one inserted inside a
+        flat segment takes ``yr`` directly, which is what the pinned
+        interpolation returns there (including the sign of a zero).
         """
         if len(grid) == len(self.breaks) and np.array_equal(grid, self.breaks):
             return self
         left = grid[:-1]
-        right = grid[1:]
         k = self._segment_index(left, "right")
-        nyl = self._interp(k, left)
-        nyr = self._interp(k, right)
-        nyl = np.where(left == self.breaks[k], self.yl[k], nyl)
-        nyr = np.where(right == self.breaks[k + 1], self.yr[k], nyr)
+        b, lo, hi = self.breaks[k], self.yl[k], self.yr[k]
+        nyl = np.where(left == b, lo, hi)
+        nyr = hi
+        # cells whose left node is inserted inside a rising segment; the
+        # cell before ends on the same node, inside the same segment
+        i = np.flatnonzero((lo[1:] != hi[1:]) & (left[1:] != b[1:])) + 1
+        nyl[i] = nyr[i - 1] = self._interp(k[i], left[i])
         return PLF(grid, nyl, nyr)
 
     def refine(self, points) -> "PLF":
@@ -233,28 +238,22 @@ class PLF:
         verbatim (no arithmetic, so inverting twice is a bitwise
         involution), flats turn into jumps, and jumps turn into flats
         sitting at the jump location.
+
+        Interleaving the value nodes ``yl[0], yr[0], yl[1], ...`` with the
+        level nodes ``b[0], b[1], b[1], b[2], ...`` turns every segment and
+        every junction into one slot; the rising slots are the pieces.
         """
         if self.yl[0] == self.yr[-1]:
             raise ValueError("a constant function has a degenerate inverse")
-        v_lo: list[float] = []
-        v_hi: list[float] = []
-        lv: list[float] = []
-        rv: list[float] = []
-        for k in range(self.num_segments):
-            if self.yl[k] != self.yr[k]:
-                v_lo.append(float(self.yl[k]))
-                v_hi.append(float(self.yr[k]))
-                lv.append(float(self.breaks[k]))
-                rv.append(float(self.breaks[k + 1]))
-            if k + 1 < self.num_segments and self.yr[k] < self.yl[k + 1]:
-                v_lo.append(float(self.yr[k]))
-                v_hi.append(float(self.yl[k + 1]))
-                lv.append(float(self.breaks[k + 1]))
-                rv.append(float(self.breaks[k + 1]))
-        vb = v_lo + [v_hi[-1]]
-        if any(a != b for a, b in zip(v_hi[:-1], v_lo[1:])):
+        nodes = np.empty(2 * self.num_segments)
+        nodes[0::2] = self.yl
+        nodes[1::2] = self.yr
+        levels = np.repeat(self.breaks, 2)[1:-1]
+        k = np.flatnonzero(nodes[1:] != nodes[:-1])
+        if np.any(nodes[k[:-1] + 1] != nodes[k[1:]]):
             raise AssertionError("inverse pieces failed to tile the range")
-        return PLF(np.array(vb), np.array(lv), np.array(rv))
+        vb = np.append(nodes[k], nodes[k[-1] + 1])
+        return PLF(vb, levels[k], levels[k + 1])
 
     # ------------------------------------------------------------------
     # canonical form
@@ -418,19 +417,35 @@ def _signed_pow_primitive(u: np.ndarray, p: float) -> np.ndarray:
 
 def abs_pow_cells(w, a, b, p: float) -> np.ndarray:
     """Exact integral of |l(t)|^p per cell, for l affine from a to b over
-    width w.  Uses the closed-form divided difference of the signed power
-    primitive; for a ~ b that difference cancels catastrophically, and the
-    midpoint value (exact in the limit) takes over.
+    width w.  Inputs broadcast against each other.
+
+    For p = 1 the cells are the trapezoid 0.5*w*(|a|+|b|) when a and b
+    share a sign and w*(a^2+b^2)/(2(|a|+|b|)) when l crosses zero; both
+    are free of cancellation.  Other orders use the closed-form divided
+    difference of the signed power primitive on steep cells only; where
+    |b-a| <= 1e-9*max(|a|,|b|) that difference would cancel
+    catastrophically, and the midpoint value (exact in the limit) takes
+    over.  Each branch is evaluated only on the cells it serves.
     """
     w = np.asarray(w, dtype=np.float64)
     a = np.asarray(a, dtype=np.float64)
     b = np.asarray(b, dtype=np.float64)
+    if p == 1.0:
+        s = np.abs(a) + np.abs(b)
+        cross = (a * b) < 0.0
+        denom = np.where(cross, s, 1.0)
+        straight = 0.5 * w * s
+        bent = w * (a * a + b * b) / (2.0 * denom)
+        return np.where(cross, bent, straight)
     d = b - a
+    if a.shape != d.shape or b.shape != d.shape:  # the masks below need full arrays
+        a, b = np.broadcast_to(a, d.shape), np.broadcast_to(b, d.shape)
     steep = np.abs(d) > 1e-9 * np.maximum(np.abs(a), np.abs(b))
-    safe = np.where(steep, d, 1.0)
-    divided = (_signed_pow_primitive(b, p) - _signed_pow_primitive(a, p)) / safe
-    flat = np.abs((a + b) * 0.5) ** p
-    return w * np.where(steep, divided, flat)
+    flat = ~steep
+    out = np.empty(d.shape)
+    out[steep] = (_signed_pow_primitive(b[steep], p) - _signed_pow_primitive(a[steep], p)) / d[steep]
+    out[flat] = np.abs((a[flat] + b[flat]) * 0.5) ** p
+    return w * out
 
 
 def abs_pow_gap(f: PLF, g: PLF, p: float, lo: float | None = None, hi: float | None = None) -> float:

@@ -1,0 +1,157 @@
+"""Verbatim copies of the loop- and tuple-based kernels the array code
+replaced, kept as differential oracles.
+
+The array versions in ``wasserline.plf`` and ``wasserline.measures`` must
+reproduce these bit for bit (W1 cells excepted, which are now computed
+without cancellation); ``test_array_kernels.py`` compares the two.  The
+bodies below are the old method bodies with ``self`` turned into an
+argument and nothing else changed.
+"""
+
+from __future__ import annotations
+
+import numpy as np
+
+from wasserline import PLF
+from wasserline.errors import (
+    NonPositiveWeight,
+    PositionOutOfRange,
+    WeightSumOutOfTolerance,
+)
+from wasserline.measures import WEIGHT_TOL, Domain, Measure
+
+
+# ----------------------------------------------------------------------
+# plf.py
+
+
+def _interp(self: PLF, k: np.ndarray, y: np.ndarray) -> np.ndarray:
+    w = self.breaks[k + 1] - self.breaks[k]
+    v = self.yl[k] + (self.yr[k] - self.yl[k]) * ((y - self.breaks[k]) / w)
+    # rounding may poke past a segment endpoint; pin it back
+    return np.minimum(np.maximum(v, self.yl[k]), self.yr[k])
+
+
+def on_grid(self: PLF, grid: np.ndarray) -> PLF:
+    if len(grid) == len(self.breaks) and np.array_equal(grid, self.breaks):
+        return self
+    left = grid[:-1]
+    right = grid[1:]
+    k = self._segment_index(left, "right")
+    nyl = _interp(self, k, left)
+    nyr = _interp(self, k, right)
+    nyl = np.where(left == self.breaks[k], self.yl[k], nyl)
+    nyr = np.where(right == self.breaks[k + 1], self.yr[k], nyr)
+    return PLF(grid, nyl, nyr)
+
+
+def inverse(self: PLF) -> PLF:
+    if self.yl[0] == self.yr[-1]:
+        raise ValueError("a constant function has a degenerate inverse")
+    v_lo: list[float] = []
+    v_hi: list[float] = []
+    lv: list[float] = []
+    rv: list[float] = []
+    for k in range(self.num_segments):
+        if self.yl[k] != self.yr[k]:
+            v_lo.append(float(self.yl[k]))
+            v_hi.append(float(self.yr[k]))
+            lv.append(float(self.breaks[k]))
+            rv.append(float(self.breaks[k + 1]))
+        if k + 1 < self.num_segments and self.yr[k] < self.yl[k + 1]:
+            v_lo.append(float(self.yr[k]))
+            v_hi.append(float(self.yl[k + 1]))
+            lv.append(float(self.breaks[k + 1]))
+            rv.append(float(self.breaks[k + 1]))
+    vb = v_lo + [v_hi[-1]]
+    if any(a != b for a, b in zip(v_hi[:-1], v_lo[1:])):
+        raise AssertionError("inverse pieces failed to tile the range")
+    return PLF(np.array(vb), np.array(lv), np.array(rv))
+
+
+def _signed_pow_primitive(u: np.ndarray, p: float) -> np.ndarray:
+    return np.sign(u) * np.abs(u) ** (p + 1.0) / (p + 1.0)
+
+
+def abs_pow_cells(w, a, b, p: float) -> np.ndarray:
+    w = np.asarray(w, dtype=np.float64)
+    a = np.asarray(a, dtype=np.float64)
+    b = np.asarray(b, dtype=np.float64)
+    d = b - a
+    steep = np.abs(d) > 1e-9 * np.maximum(np.abs(a), np.abs(b))
+    safe = np.where(steep, d, 1.0)
+    divided = (_signed_pow_primitive(b, p) - _signed_pow_primitive(a, p)) / safe
+    flat = np.abs((a + b) * 0.5) ** p
+    return w * np.where(steep, divided, flat)
+
+
+# ----------------------------------------------------------------------
+# midpoints.py
+
+
+def l1_cells(w: np.ndarray, dl: np.ndarray, dr: np.ndarray) -> np.ndarray:
+    s = np.abs(dl) + np.abs(dr)
+    cross = (dl * dr) < 0.0
+    denom = np.where(cross, s, 1.0)
+    straight = 0.5 * w * s
+    bent = w * (dl * dl + dr * dr) / (2.0 * denom)
+    return np.where(cross, bent, straight)
+
+
+# ----------------------------------------------------------------------
+# measures.py
+
+
+def discrete_arrays(positions, weights) -> tuple[np.ndarray, np.ndarray]:
+    """The old ``DiscreteMeasure.__post_init__``: sorted, merged, normalized."""
+    pos = np.asarray(positions, dtype=np.float64).ravel()
+    w = np.asarray(weights, dtype=np.float64).ravel()
+    if len(pos) != len(w) or len(pos) == 0:
+        raise ValueError("need matching nonempty position/weight arrays")
+    if not np.all(np.isfinite(pos)):
+        raise PositionOutOfRange("non-finite atom position")
+    if np.any(w <= 0.0) or not np.all(np.isfinite(w)):
+        raise NonPositiveWeight("atom weights must be positive")
+    total = float(np.sum(w))
+    if abs(total - 1.0) > WEIGHT_TOL:
+        raise WeightSumOutOfTolerance(f"weights sum to {total!r}")
+    order = np.argsort(pos, kind="stable")
+    pos, w = pos[order], w[order]
+    # merge duplicates (exact position ties)
+    uniq, inverse = np.unique(pos, return_inverse=True)
+    if len(uniq) != len(pos):
+        w = np.bincount(inverse, weights=w)
+        pos = uniq
+    w = w / total
+    return np.ascontiguousarray(pos), np.ascontiguousarray(w)
+
+
+def from_atoms(atoms, domain: Domain = Domain.REAL_LINE) -> Measure:
+    pairs = list(atoms)
+    if not pairs:
+        raise NonPositiveWeight("a measure needs at least one atom")
+    pos, w = discrete_arrays([p for p, _ in pairs], [w for _, w in pairs])
+    if domain is Domain.UNIT_INTERVAL and (pos[0] < 0.0 or pos[-1] > 1.0):
+        raise PositionOutOfRange("atom outside the unit interval")
+    cum = np.cumsum(w)
+    cum[-1] = 1.0
+    breaks = np.concatenate([[0.0], cum])
+    # drop cells whose width underflowed to zero (weight below one ulp of
+    # the running total); the lost mass is far under the weight tolerance
+    keep = np.diff(breaks) > 0.0
+    if not keep.all():
+        pos = pos[keep]
+        breaks = np.concatenate([[0.0], cum[keep]])
+    return Measure(domain, PLF(breaks, pos, pos))
+
+
+def to_measure(positions, weights, domain: Domain = Domain.REAL_LINE) -> Measure:
+    """The old ``DiscreteMeasure.to_measure``, via ``.atoms`` tuples."""
+    pos, w = discrete_arrays(positions, weights)
+    atoms = [(float(x), float(m)) for x, m in zip(pos, w)]
+    return from_atoms(atoms, domain=domain)
+
+
+def from_measure(mu: Measure) -> tuple[np.ndarray, np.ndarray]:
+    atoms = mu.atoms()
+    return discrete_arrays([a for a, _ in atoms], [m for _, m in atoms])

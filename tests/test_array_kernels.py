@@ -1,0 +1,257 @@
+"""The array kernels against their loop- and tuple-based predecessors.
+
+``reference_kernels`` keeps the replaced code verbatim; every output here
+must match it bit for bit (signs of zeros included), except W1 cells,
+which are checked against mpmath at 50 digits instead.
+"""
+
+from __future__ import annotations
+
+import mpmath
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import reference_kernels as ref
+from wasserline import (
+    PLF,
+    DiscreteMeasure,
+    Domain,
+    Measure,
+    abs_pow_cells,
+    from_atoms,
+    wasserstein_distance,
+)
+
+
+def same_bits(x, y) -> bool:
+    x, y = np.asarray(x), np.asarray(y)
+    if x.dtype != y.dtype or x.shape != y.shape:
+        return False
+    return np.array_equal(np.ascontiguousarray(x).view(np.uint64), np.ascontiguousarray(y).view(np.uint64))
+
+
+def same_plf(f: PLF, g: PLF) -> bool:
+    return same_bits(f.breaks, g.breaks) and same_bits(f.yl, g.yl) and same_bits(f.yr, g.yr)
+
+
+def same_measure(mu: Measure, nu: Measure) -> bool:
+    return mu.domain is nu.domain and same_plf(mu.quantile, nu.quantile)
+
+
+# ----------------------------------------------------------------------
+# strategies
+
+_STEPS = st.one_of(
+    st.just(0.0),
+    st.sampled_from([0.25, 0.5, 1.0, 2.0**-30]),
+    st.floats(1e-12, 2.0, allow_subnormal=False),
+)
+
+
+@st.composite
+def plfs(draw, max_segments: int = 8) -> PLF:
+    """Monotone PLFs on [0, 1] with flats, jumps and signed zeros."""
+    m = draw(st.integers(1, max_segments))
+    inner = draw(
+        st.lists(
+            st.one_of(st.sampled_from([0.125, 0.25, 0.5, 0.75]), st.floats(0.0, 1.0, exclude_min=True, exclude_max=True)),
+            min_size=m - 1, max_size=m - 1, unique=True,
+        )
+    )
+    breaks = np.array([0.0] + sorted(inner) + [1.0])
+    start = draw(st.sampled_from([-1.0, -0.5, -0.0, 0.0, 0.75, -3.0]))
+    steps = draw(st.lists(_STEPS, min_size=2 * m - 1, max_size=2 * m - 1))
+    nodes = start + np.concatenate([[0.0], np.cumsum(steps)])
+    signs = draw(st.lists(st.booleans(), min_size=2 * m, max_size=2 * m))
+    nodes = np.where(nodes == 0.0, np.where(signs, -0.0, 0.0), nodes)
+    return PLF(breaks, nodes[0::2], nodes[1::2])
+
+
+_POSITIONS = st.one_of(
+    st.sampled_from([0.0, -0.0, 1.0, 0.5, -2.5, 0.25]),
+    st.floats(-10.0, 10.0, allow_subnormal=False),
+)
+
+
+@st.composite
+def atom_arrays(draw) -> tuple[np.ndarray, np.ndarray]:
+    """Shuffled, sorted or tied positions with weights summing to ~1."""
+    pos = draw(st.lists(_POSITIONS, min_size=1, max_size=40))
+    if draw(st.booleans()):
+        pos = sorted(pos)  # stable, so the order of 0.0 and -0.0 survives
+    raw = np.array(draw(st.lists(st.floats(1e-3, 1.0), min_size=len(pos), max_size=len(pos))))
+    return np.array(pos), raw / raw.sum()
+
+
+def _domain_for(pos: np.ndarray) -> Domain:
+    return Domain.UNIT_INTERVAL if np.all((pos >= 0.0) & (pos <= 1.0)) else Domain.REAL_LINE
+
+
+# ----------------------------------------------------------------------
+# plf kernels
+
+
+@settings(max_examples=200, deadline=None)
+@given(plfs())
+def test_inverse_matches_the_loop(f):
+    if f.yl[0] == f.yr[-1]:
+        for inverse in (PLF.inverse, ref.inverse):
+            with pytest.raises(ValueError):
+                inverse(f)
+    else:
+        assert same_plf(f.inverse(), ref.inverse(f))
+
+
+@settings(max_examples=200, deadline=None)
+@given(plfs(), st.lists(st.floats(0.0, 1.0), max_size=12), st.booleans())
+def test_on_grid_matches_the_pinned_interpolation(f, points, midpoints):
+    grid = np.union1d(f.breaks, points)
+    if midpoints:
+        grid = np.union1d(grid, 0.5 * (grid[:-1] + grid[1:]))
+    assert same_plf(f.on_grid(grid), ref.on_grid(f, grid))
+
+
+_CELL_VALUES = st.one_of(
+    st.sampled_from([0.0, -0.0, 1.0, -1.0, 0.5]),
+    st.floats(-1e6, 1e6, allow_subnormal=False),
+)
+
+
+@st.composite
+def cells(draw) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Widths and endpoint values: generic, crossing, equal and near-parallel."""
+    n = draw(st.integers(1, 12))
+    w = np.array(draw(st.lists(st.floats(1e-6, 2.0), min_size=n, max_size=n)))
+    a = np.array(draw(st.lists(_CELL_VALUES, min_size=n, max_size=n)))
+    kind = draw(st.lists(st.sampled_from(["free", "equal", "near", "negated"]), min_size=n, max_size=n))
+    eps = np.array(draw(st.lists(st.floats(1e-12, 1e-6), min_size=n, max_size=n)))
+    free = np.array(draw(st.lists(_CELL_VALUES, min_size=n, max_size=n)))
+    kind = np.array(kind)
+    b = np.select([kind == "equal", kind == "near", kind == "negated"], [a, a * (1.0 + eps), -a], free)
+    return w, a, b
+
+
+@pytest.mark.parametrize("p", [1.5, 2.0, 3.0])
+@settings(max_examples=150, deadline=None)
+@given(c=cells())
+def test_abs_pow_cells_match_both_branches(p, c):
+    w, a, b = c
+    assert same_bits(abs_pow_cells(w, a, b, p), ref.abs_pow_cells(w, a, b, p))
+    # 2-D broadcasting, as the stacked midpoint probe uses it
+    a2 = np.stack([a, b, -a])
+    b2 = b[None, :]
+    assert same_bits(abs_pow_cells(w, a2, b2, p), ref.abs_pow_cells(w, a2, b2, p))
+    # 0-d inputs give the one-cell array's value; the old code sent them
+    # through NumPy's scalar power, which can differ from the array power
+    # in the last ulp
+    assert same_bits(abs_pow_cells(w[0], a[0], b[0], p), ref.abs_pow_cells(w[:1], a[:1], b[:1], p)[0])
+
+
+@settings(max_examples=100, deadline=None)
+@given(c=cells())
+def test_w1_cells_are_the_former_probe_cells(c):
+    w, a, b = c
+    assert same_bits(abs_pow_cells(w, a, b, 1.0), ref.l1_cells(w, a, b))
+    a2 = np.stack([a, b, -a])[:, None, :]
+    b2 = np.stack([b, a])[None, :, :]
+    assert same_bits(abs_pow_cells(w, a2, b2, 1.0), ref.l1_cells(w, a2, b2))
+
+
+def _mp_l1_cell(w: float, a: float, b: float):
+    """50-digit quadrature of |a + (b - a) t| * w over [0, 1], split at the root."""
+    with mpmath.workdps(50):
+        a, b, w = mpmath.mpf(a), mpmath.mpf(b), mpmath.mpf(w)
+        f = lambda t: abs(a + (b - a) * t) * w  # noqa: E731
+        if a * b < 0:
+            root = a / (a - b)
+            return mpmath.quad(f, [0, root, 1])
+        return mpmath.quad(f, [0, 1])
+
+
+def _ulps_rel(got: float, want) -> float:
+    if want == 0:
+        return 0.0 if got == 0.0 else float("inf")
+    return float(abs((mpmath.mpf(got) - want) / want)) / np.finfo(float).eps
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.floats(1e-3, 2.0),
+    st.floats(1e-6, 1e6).flatmap(lambda m: st.sampled_from([m, -m])),
+    st.one_of(st.floats(1e-10, 1e-6), st.floats(-1e-6, -1e-10), st.floats(-3.0, 3.0)),
+)
+def test_w1_cells_against_mpmath(w, a, rel):
+    # rel near 0 is the near-parallel case that used to cancel; rel below
+    # -1 crosses zero
+    b = a * (1.0 + rel)
+    got = float(abs_pow_cells(np.array([w]), np.array([a]), np.array([b]), 1.0)[0])
+    assert _ulps_rel(got, _mp_l1_cell(w, a, b)) <= 4.0
+
+
+def test_near_parallel_w1_distance_against_mpmath():
+    # uniform[0, 1] against uniform[10, c]: the gap 10 + (c - 11) y never
+    # changes sign, and the old divided difference lost ~8 digits on it
+    c = 11.0 + 1.2e-8
+    mu = Measure(Domain.REAL_LINE, PLF(np.array([0.0, 1.0]), np.array([0.0]), np.array([1.0])))
+    nu = Measure(Domain.REAL_LINE, PLF(np.array([0.0, 1.0]), np.array([10.0]), np.array([c])))
+    with mpmath.workdps(50):
+        want = 10 + (mpmath.mpf(c) - 11) / 2
+    assert _ulps_rel(wasserstein_distance(mu, nu, 1.0), want) <= 4.0
+
+
+# ----------------------------------------------------------------------
+# discrete constructors
+
+
+def _check_constructors(pos: np.ndarray, w: np.ndarray) -> None:
+    d = DiscreteMeasure(pos, w)
+    want_pos, want_w = ref.discrete_arrays(pos, w)
+    assert same_bits(d.positions, want_pos) and same_bits(d.weights, want_w)
+    for domain in {Domain.REAL_LINE, _domain_for(pos)}:
+        assert same_measure(d.to_measure(domain), ref.to_measure(pos, w, domain))
+        atoms = list(zip(pos.tolist(), w.tolist()))
+        mu = from_atoms(atoms, domain=domain)
+        assert same_measure(mu, ref.from_atoms(atoms, domain=domain))
+        back = DiscreteMeasure.from_measure(mu)
+        back_pos, back_w = ref.from_measure(mu)
+        assert same_bits(back.positions, back_pos) and same_bits(back.weights, back_w)
+
+
+@settings(max_examples=200, deadline=None)
+@given(atom_arrays())
+def test_discrete_constructors_match_the_tuple_path(arrays):
+    _check_constructors(*arrays)
+
+
+def test_signed_zero_ties_keep_the_first_in_input_order():
+    w = np.full(4, 0.25)
+    for pos in ([-0.0, 1.0, 0.0, 0.0], [0.0, -0.0, -0.0, 2.0], [1.0, 0.0, -0.0, 0.0]):
+        pos = np.array(pos)
+        d = DiscreteMeasure(pos, w)
+        first_zero = pos[pos == 0.0][0]
+        assert np.signbit(d.positions[d.positions == 0.0][0]) == np.signbit(first_zero)
+        _check_constructors(pos, w)
+
+
+def test_large_measures_match_the_tuple_path():
+    rng = np.random.default_rng(20200203)
+    n = 2**16
+    pos = rng.normal(size=n)
+    pos[rng.choice(n, 2000, replace=False)] = pos[rng.choice(n, 2000)]  # ties
+    pos[rng.choice(n, 50, replace=False)] = 0.0
+    pos[rng.choice(n, 50, replace=False)] = -0.0
+    w = rng.random(n)
+    w /= w.sum()
+    _check_constructors(pos, w)
+    unit = np.round(rng.random(n), 3)  # heavy ties inside [0, 1]
+    _check_constructors(unit, np.full(n, 1.0 / n))
+    # a large continuous quantile with flats and jumps, inverted and regridded
+    nodes = np.cumsum(np.where(rng.random(2 * n) < 0.3, 0.0, rng.random(2 * n)))
+    f = PLF(np.linspace(0.0, 1.0, n + 1), nodes[0::2], nodes[1::2])
+    assert same_plf(f.inverse(), ref.inverse(f))
+    grid = np.union1d(f.breaks, rng.random(n // 2))
+    assert same_plf(f.on_grid(grid), ref.on_grid(f, grid))
+    mu = from_atoms(list(zip(pos.tolist(), w.tolist())), domain=Domain.REAL_LINE)
+    assert same_plf(mu.quantile.inverse(), ref.inverse(mu.quantile))
