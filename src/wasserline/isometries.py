@@ -1,8 +1,14 @@
 """The isometry and embedding catalogue.
 
-Descriptors are small frozen dataclasses; ``apply`` turns one into an
-actual map on measures, and ``verify_isometry`` measures how well it
-preserves distances at a requested order p over random trials.
+Each descriptor is a small frozen dataclass that owns its behaviour:
+its JSON ``kind``, the input ``domains`` it accepts (it maps each of
+them into itself), the ``orders`` at which it is a genuine isometry,
+and ``apply``, ``describe``, ``to_json`` and ``from_json``.  The
+module-level functions ``apply``, ``describe``, ``admissible_domains``,
+``natural_orders``, ``isometry_to_json`` and ``isometry_from_json`` are
+one-line entry points, and ``_KINDS`` maps each JSON kind to its class.
+``verify_isometry`` measures how well a descriptor preserves distances
+at a requested order p over random trials.
 
 Scope is two-sided.  Domain scope is enforced by ``apply`` (a flip of a
 real-line measure has no meaning and raises ScopeMismatch).  Order
@@ -13,7 +19,7 @@ verifier will happily run Phi^q at p = 1 and report the honest failure.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -29,11 +35,18 @@ from .measures import (
     pushforward_affine,
 )
 from .metric import check_order, wasserstein_distance
-from .plf import PLF, concat_plfs, const_plf, plf_combine
-from .reports import VerificationReport, digest
+from .plf import PLF, concat_plfs, plf_combine
+from .reports import VerificationReport, row, summarize
 from .sampling import random_discrete_measure, rng_for
 
 Q_LIMIT = 30.0
+
+_REAL = frozenset({Domain.REAL_LINE})
+_UNIT = frozenset({Domain.UNIT_INTERVAL})
+_P1 = frozenset({1.0})
+_P2 = frozenset({2.0})
+_THIRD = 1.0 / 3.0
+_TWO_THIRDS = 2.0 / 3.0
 
 
 def _check_q(q: float) -> float:
@@ -47,9 +60,37 @@ def _check_q(q: float) -> float:
 # descriptors
 
 
+class _Descriptor:
+    """Defaults: a real-line map, isometric at every order p >= 1
+    (``orders`` None), described by its kind, with its dataclass fields
+    as JSON."""
+
+    kind = ""
+    domains = _REAL
+    orders = None
+
+    def _in_scope(self, mu: Measure) -> Measure:
+        if mu.domain not in self.domains:
+            where = mu.domain.name.lower().replace("_", "-")
+            raise ScopeMismatch(f"{self.kind} does not act on {where} measures")
+        return mu
+
+    def describe(self) -> str:
+        return self.kind
+
+    def to_json(self) -> dict:
+        return {"kind": self.kind, **{f.name: getattr(self, f.name) for f in fields(self)}}
+
+    @classmethod
+    def from_json(cls, data: dict):
+        return cls(*(data[f.name] for f in fields(cls)))
+
+
 @dataclass(frozen=True)
-class Trivial:
+class Trivial(_Descriptor):
     """x -> orientation * x + offset."""
+
+    kind = "trivial"
 
     orientation: int
     offset: float
@@ -57,20 +98,44 @@ class Trivial:
     def __post_init__(self) -> None:
         if self.orientation not in (1, -1):
             raise ValueError("orientation must be +1 or -1")
+        object.__setattr__(self, "orientation", int(self.orientation))
+        object.__setattr__(self, "offset", float(self.offset))
+
+    @property
+    def domains(self) -> frozenset:
+        # the identity and x -> 1 - x also map [0, 1] onto itself
+        if (self.orientation, self.offset) in ((1, 0.0), (-1, 1.0)):
+            return _REAL | _UNIT
+        return _REAL
+
+    def apply(self, mu: Measure) -> Measure:
+        return pushforward_affine(mu, self.orientation, self.offset)
+
+    def describe(self) -> str:
+        return f"trivial({self.orientation:+d},{self.offset:g})"
 
 
 @dataclass(frozen=True)
-class Flip:
+class Flip(_Descriptor):
     """Mass/position exchange on [0, 1]; an isometry for p = 1 only."""
 
+    kind = "flip"
+    domains = _UNIT
+    orders = _P1
+
+    def apply(self, mu: Measure) -> Measure:
+        return flip(self._in_scope(mu))
+
 
 @dataclass(frozen=True)
-class Translation:
+class Translation(_Descriptor):
     """Quantile translation mu -> mu *translated by* nu: Q = Q_mu + Q_nu.
 
     An isometry of W_p(R) onto its image for every p; for a Dirac nu it
     is the ordinary shift.
     """
+
+    kind = "translation"
 
     nu: Measure
 
@@ -78,27 +143,110 @@ class Translation:
         if self.nu.domain is not Domain.REAL_LINE:
             raise ScopeMismatch("translation directions live on the real line")
 
+    def apply(self, mu: Measure) -> Measure:
+        q = plf_combine([self._in_scope(mu).quantile, self.nu.quantile], [1.0, 1.0])
+        return Measure(Domain.REAL_LINE, q)
+
+    def to_json(self) -> dict:
+        return {"kind": self.kind, "nu": measure_to_json(self.nu)}
+
+    @classmethod
+    def from_json(cls, data: dict) -> "Translation":
+        return cls(measure_from_json(data["nu"]))
+
 
 @dataclass(frozen=True)
-class BarycentricReflection:
+class BarycentricReflection(_Descriptor):
     """Reflect each measure through its own barycenter; fixes W_2(R)."""
 
+    kind = "barycentric_reflection"
+    orders = _P2
+
+    def apply(self, mu: Measure) -> Measure:
+        return pushforward_affine(self._in_scope(mu), -1, 2.0 * barycenter(mu))
+
 
 @dataclass(frozen=True)
-class Exotic:
+class Exotic(_Descriptor):
     """The flow Phi^q on W_2(R): shear in the two-point chart coordinates
     (x, sigma, p) -> (x, sigma, p + q), extended to finite discrete
     measures by its closed form.  Not a rigid motion of the line."""
 
+    kind = "exotic"
+    orders = _P2
+
     q: float
 
     def __post_init__(self) -> None:
-        _check_q(self.q)
+        object.__setattr__(self, "q", _check_q(self.q))
+
+    def apply(self, mu: Measure) -> Measure:
+        self._in_scope(mu)
+        if self.q == 0.0:
+            return mu
+        if not mu.is_discrete:
+            raise ScopeMismatch(
+                "the exotic flow is implemented on finite discrete measures; "
+                "use exotic_apply_grid for quantile profiles of general ones"
+            )
+        out = exotic_apply_discrete(DiscreteMeasure.from_measure(mu), self.q)
+        return out.to_measure(Domain.REAL_LINE)
+
+    def describe(self) -> str:
+        return f"exotic({self.q:g})"
+
+
+@dataclass(frozen=True, eq=False)
+class SplitEmbedding(_Descriptor):
+    """Isometric embedding of W_1(R) into itself that splits the support.
+
+    The image CDF places the negative part of mu, compressed by 1/3,
+    left of -1; the positive part right of +1; and an arbitrary fixed
+    monotone profile E with values in [1/3, 2/3] on the middle band
+    [-1, 1).  The middle band is the same for every mu, and the outer
+    bands reproduce W_1 distances exactly because
+
+        |min(u,0) - min(v,0)| + |max(u,0) - max(v,0)| = |u - v|.
+    """
+
+    kind = "split_embedding"
+    orders = _P1
+
+    profile: PLF
+
+    def __post_init__(self) -> None:
+        pr = self.profile
+        if pr.breaks[0] != -1.0 or pr.breaks[-1] != 1.0:
+            raise ValueError("the profile must live on [-1, 1]")
+        lo, hi = pr.value_range
+        if lo < _THIRD or hi > _TWO_THIRDS:
+            raise ValueError("profile values must stay within [1/3, 2/3]")
+
+    @classmethod
+    def default(cls) -> "SplitEmbedding":
+        return cls(PLF(np.array([-1.0, 1.0]), np.array([_THIRD]), np.array([_TWO_THIRDS])))
+
+    def apply(self, mu: Measure) -> Measure:
+        return split_embedding_apply(self, mu)
+
+    def to_json(self) -> dict:
+        pr = self.profile
+        return {
+            "kind": self.kind,
+            "profile": {"breaks": pr.breaks.tolist(), "yl": pr.yl.tolist(), "yr": pr.yr.tolist()},
+        }
+
+    @classmethod
+    def from_json(cls, data: dict) -> "SplitEmbedding":
+        pr = data["profile"]
+        return cls(PLF(pr["breaks"], pr["yl"], pr["yr"]))
 
 
 @dataclass(frozen=True)
-class Composition:
+class Composition(_Descriptor):
     """Apply ``items`` right to left, like function composition."""
+
+    kind = "compose"
 
     items: tuple
 
@@ -107,63 +255,46 @@ class Composition:
         if not self.items:
             raise ValueError("empty composition")
 
+    @property
+    def domains(self) -> frozenset:
+        # every item maps each of its domains into itself
+        return frozenset.intersection(*(item.domains for item in self.items))
 
-IsometryDescriptor = Trivial | Flip | Translation | BarycentricReflection | Exotic | Composition
+    @property
+    def orders(self):
+        known = [item.orders for item in self.items if item.orders is not None]
+        return frozenset.intersection(*known) if known else None
+
+    def apply(self, mu: Measure) -> Measure:
+        for item in reversed(self.items):
+            mu = apply(item, mu)
+        return mu
+
+    def describe(self) -> str:
+        return "compose(" + ",".join(item.describe() for item in self.items) + ")"
+
+    def to_json(self) -> dict:
+        return {"kind": self.kind, "items": [item.to_json() for item in self.items]}
+
+    @classmethod
+    def from_json(cls, data: dict) -> "Composition":
+        return cls(tuple(isometry_from_json(item) for item in data["items"]))
+
+
+IsometryDescriptor = (
+    Trivial | Flip | Translation | BarycentricReflection | Exotic | SplitEmbedding | Composition
+)
+
+_KINDS = {cls.kind: cls for cls in IsometryDescriptor.__args__}
 
 
 # ----------------------------------------------------------------------
-# scope bookkeeping
-
-_BOTH = frozenset({Domain.REAL_LINE, Domain.UNIT_INTERVAL})
-
-
-def _direct_domains(iso) -> frozenset:
-    if isinstance(iso, Trivial):
-        if iso.orientation == 1 and iso.offset == 0.0:
-            return _BOTH
-        if iso.orientation == -1 and iso.offset == 1.0:
-            return _BOTH
-        return frozenset({Domain.REAL_LINE})
-    if isinstance(iso, Flip):
-        return frozenset({Domain.UNIT_INTERVAL})
-    if isinstance(iso, (Translation, BarycentricReflection, Exotic)):
-        return frozenset({Domain.REAL_LINE})
-    raise TypeError(f"unknown descriptor {type(iso).__name__}")
-
-
-def _output_domain(iso, d: Domain) -> Domain:
-    if isinstance(iso, (Trivial,)):
-        return d
-    if isinstance(iso, Flip):
-        return Domain.UNIT_INTERVAL
-    return Domain.REAL_LINE
+# entry points
 
 
 def admissible_domains(iso) -> frozenset:
     """Input domains a measure may have for ``apply(iso, .)`` to succeed."""
-    if not isinstance(iso, Composition):
-        return _direct_domains(iso)
-    ok = set()
-    for start in _BOTH:
-        d = start
-        good = True
-        for item in reversed(iso.items):
-            doms = admissible_domains(item)
-            if d not in doms:
-                good = False
-                break
-            d = _chain_output(item, d)
-        if good:
-            ok.add(start)
-    return frozenset(ok)
-
-
-def _chain_output(item, d: Domain) -> Domain:
-    if isinstance(item, Composition):
-        for sub in reversed(item.items):
-            d = _chain_output(sub, d)
-        return d
-    return _output_domain(item, d)
+    return iso.domains
 
 
 def natural_orders(iso):
@@ -172,60 +303,29 @@ def natural_orders(iso):
     Returns ``None`` for "every p >= 1", otherwise a frozenset.  Purely
     informational; nothing gates on it.
     """
-    if isinstance(iso, (Trivial, Translation)):
-        return None
-    if isinstance(iso, Flip):
-        return frozenset({1.0})
-    if isinstance(iso, (BarycentricReflection, Exotic)):
-        return frozenset({2.0})
-    if isinstance(iso, Composition):
-        out = None
-        for item in iso.items:
-            cur = natural_orders(item)
-            if cur is None:
-                continue
-            out = cur if out is None else out & cur
-        return out
-    raise TypeError(f"unknown descriptor {type(iso).__name__}")
-
-
-# ----------------------------------------------------------------------
-# application
+    return iso.orders
 
 
 def apply(iso, mu: Measure) -> Measure:
-    if isinstance(iso, Trivial):
-        return pushforward_affine(mu, iso.orientation, iso.offset)
-    if isinstance(iso, Flip):
-        if mu.domain is not Domain.UNIT_INTERVAL:
-            raise ScopeMismatch("flip acts on unit-interval measures")
-        return flip(mu)
-    if isinstance(iso, Translation):
-        if mu.domain is not Domain.REAL_LINE:
-            raise ScopeMismatch("translation acts on real-line measures")
-        q = plf_combine([mu.quantile, iso.nu.quantile], [1.0, 1.0])
-        return Measure(Domain.REAL_LINE, q)
-    if isinstance(iso, BarycentricReflection):
-        if mu.domain is not Domain.REAL_LINE:
-            raise ScopeMismatch("barycentric reflection acts on real-line measures")
-        return pushforward_affine(mu, -1, 2.0 * barycenter(mu))
-    if isinstance(iso, Exotic):
-        if mu.domain is not Domain.REAL_LINE:
-            raise ScopeMismatch("the exotic flow acts on real-line measures")
-        if iso.q == 0.0:
-            return mu
-        if not mu.is_discrete:
-            raise ScopeMismatch(
-                "the exotic flow is implemented on finite discrete measures; "
-                "use exotic_apply_grid for quantile profiles of general ones"
-            )
-        out = exotic_apply_discrete(DiscreteMeasure.from_measure(mu), iso.q)
-        return out.to_measure(Domain.REAL_LINE)
-    if isinstance(iso, Composition):
-        for item in reversed(iso.items):
-            mu = apply(item, mu)
-        return mu
-    raise TypeError(f"unknown descriptor {type(iso).__name__}")
+    return iso.apply(mu)
+
+
+def describe(iso) -> str:
+    return iso.describe()
+
+
+def isometry_to_json(iso) -> dict:
+    return iso.to_json()
+
+
+def isometry_from_json(data: dict):
+    try:
+        kind = data["kind"]
+    except (KeyError, TypeError) as exc:
+        raise ValueError(f"malformed isometry object: {exc}") from exc
+    if kind not in _KINDS:
+        raise ValueError(f"unknown isometry kind {kind!r}")
+    return _KINDS[kind].from_json(data)
 
 
 # ----------------------------------------------------------------------
@@ -315,77 +415,21 @@ def exotic_apply_grid(mu: Measure, q: float, grid_size: int) -> list[tuple[float
 # the split embedding
 
 
-@dataclass(frozen=True, eq=False)
-class SplitEmbedding:
-    """Isometric embedding of W_1(R) into itself that splits the support.
-
-    The image CDF places the negative part of mu, compressed by 1/3,
-    left of -1; the positive part right of +1; and an arbitrary fixed
-    monotone profile E with values in [1/3, 2/3] on the middle band
-    [-1, 1).  The middle band is the same for every mu, and the outer
-    bands reproduce W_1 distances exactly because
-
-        |min(u,0) - min(v,0)| + |max(u,0) - max(v,0)| = |u - v|.
-    """
-
-    profile: PLF
-
-    def __post_init__(self) -> None:
-        pr = self.profile
-        if pr.breaks[0] != -1.0 or pr.breaks[-1] != 1.0:
-            raise ValueError("the profile must live on [-1, 1]")
-        lo, hi = pr.value_range
-        if lo < 1.0 / 3.0 or hi > 2.0 / 3.0:
-            raise ValueError("profile values must stay within [1/3, 2/3]")
-
-    @classmethod
-    def default(cls) -> "SplitEmbedding":
-        return cls(PLF(np.array([-1.0, 1.0]), np.array([1.0 / 3.0]), np.array([2.0 / 3.0])))
-
-
-_THIRD = 1.0 / 3.0
-_TWO_THIRDS = 2.0 / 3.0
-
-
 def split_embedding_apply(emb: SplitEmbedding, mu: Measure) -> Measure:
-    if mu.domain is not Domain.REAL_LINE:
-        raise ScopeMismatch("the split embedding acts on real-line measures")
-    q = mu.quantile
+    """The image of a real-line measure under ``emb``; see SplitEmbedding."""
+    q = emb._in_scope(mu).quantile
     low = q.minimum(0.0)
     lowb = low.breaks / 3.0
-    lowb = lowb.copy()
     lowb[0] = 0.0
     lowb[-1] = _THIRD
     low_piece = PLF(lowb, 3.0 * low.yl - 1.0, 3.0 * low.yr - 1.0)
     high = q.maximum(0.0)
     highb = (high.breaks + 2.0) / 3.0
-    highb = highb.copy()
     highb[0] = _TWO_THIRDS
     highb[-1] = 1.0
     high_piece = PLF(highb, 3.0 * high.yl + 1.0, 3.0 * high.yr + 1.0)
-    middle = _middle_band(emb)
+    middle = emb.profile.padded_inverse(_THIRD, _TWO_THIRDS)
     return Measure(Domain.REAL_LINE, concat_plfs([low_piece, middle, high_piece]))
-
-
-def _middle_band(emb: SplitEmbedding) -> PLF:
-    """Quantile restriction to [1/3, 2/3): the profile's sup-inverse with
-    constant pads; independent of the embedded measure by construction."""
-    pr = emb.profile
-    lo, hi = pr.value_range
-    if lo == hi:  # constant profile: the band splits at its single value
-        pieces = []
-        if lo > _THIRD:
-            pieces.append(const_plf(_THIRD, lo, -1.0))
-        if lo < _TWO_THIRDS:
-            pieces.append(const_plf(lo, _TWO_THIRDS, 1.0))
-        return concat_plfs(pieces)
-    pieces = []
-    if lo > _THIRD:
-        pieces.append(const_plf(_THIRD, lo, -1.0))
-    pieces.append(pr.inverse())
-    if hi < _TWO_THIRDS:
-        pieces.append(const_plf(hi, _TWO_THIRDS, 1.0))
-    return concat_plfs(pieces)
 
 
 # ----------------------------------------------------------------------
@@ -396,91 +440,23 @@ def verify_isometry(iso, p: float, trials: int = 200, seed: int = 0) -> Verifica
     """Empirical distance preservation of ``apply(iso, .)`` at order p.
 
     Samples pairs of random discrete measures from an admissible input
-    domain and compares d_p before and after.  The order is taken as
-    given: running a p = 2 isometry at p = 1 is allowed and will fail
-    honestly.  Only an unsatisfiable domain scope raises.
+    domain and compares d_p before and after, one row per trial with
+    tolerance 1e-9.  The order is taken as given: running a p = 2
+    isometry at p = 1 is allowed and will fail honestly.  Only an
+    unsatisfiable domain scope raises.
     """
     p = check_order(p)
     doms = admissible_domains(iso)
     if not doms:
         raise ScopeMismatch("no input domain can pass through this composition")
     dom = Domain.REAL_LINE if Domain.REAL_LINE in doms else Domain.UNIT_INTERVAL
-    tol = 1e-9
-    worst = 0.0
-    details = []
+    claim_id = f"isometry:{describe(iso)}@p={p:g}"
+    rows = []
     for trial in range(int(trials)):
         rng = rng_for(seed, trial)
         mu = random_discrete_measure(rng, dom)
         nu = random_discrete_measure(rng, dom)
         before = wasserstein_distance(mu, nu, p)
         after = wasserstein_distance(apply(iso, mu), apply(iso, nu), p)
-        viol = abs(after - before)
-        if viol > worst:
-            worst = viol
-        if len(details) < 50:
-            key = digest(f"{trial}|{mu.atoms()}|{nu.atoms()}")
-            details.append((key, viol))
-    return VerificationReport(
-        claim_id=f"isometry:{describe(iso)}@p={p:g}",
-        trials=int(trials),
-        max_violation=worst,
-        tolerance=tol,
-        passed=worst <= tol,
-        details=tuple(details),
-    )
-
-
-# ----------------------------------------------------------------------
-# descriptor serialization
-
-
-def describe(iso) -> str:
-    if isinstance(iso, Trivial):
-        return f"trivial({iso.orientation:+d},{iso.offset:g})"
-    if isinstance(iso, Flip):
-        return "flip"
-    if isinstance(iso, Translation):
-        return "translation"
-    if isinstance(iso, BarycentricReflection):
-        return "barycentric_reflection"
-    if isinstance(iso, Exotic):
-        return f"exotic({iso.q:g})"
-    if isinstance(iso, Composition):
-        return "compose(" + ",".join(describe(i) for i in iso.items) + ")"
-    raise TypeError(f"unknown descriptor {type(iso).__name__}")
-
-
-def isometry_to_json(iso) -> dict:
-    if isinstance(iso, Trivial):
-        return {"kind": "trivial", "orientation": iso.orientation, "offset": iso.offset}
-    if isinstance(iso, Flip):
-        return {"kind": "flip"}
-    if isinstance(iso, Translation):
-        return {"kind": "translation", "nu": measure_to_json(iso.nu)}
-    if isinstance(iso, BarycentricReflection):
-        return {"kind": "barycentric_reflection"}
-    if isinstance(iso, Exotic):
-        return {"kind": "exotic", "q": iso.q}
-    if isinstance(iso, Composition):
-        return {"kind": "compose", "items": [isometry_to_json(i) for i in iso.items]}
-    raise TypeError(f"unknown descriptor {type(iso).__name__}")
-
-
-def isometry_from_json(data: dict):
-    try:
-        kind = data["kind"]
-    except (KeyError, TypeError) as exc:
-        raise ValueError(f"malformed isometry object: {exc}") from exc
-    if kind == "trivial":
-        return Trivial(int(data["orientation"]), float(data["offset"]))
-    if kind == "flip":
-        return Flip()
-    if kind == "translation":
-        return Translation(measure_from_json(data["nu"]))
-    if kind == "barycentric_reflection":
-        return BarycentricReflection()
-    if kind == "exotic":
-        return Exotic(float(data["q"]))
-    if kind == "compose":
-        return Composition(tuple(isometry_from_json(i) for i in data["items"]))
-    raise ValueError(f"unknown isometry kind {kind!r}")
+        rows.append(row(claim_id, trial, f"d{p:g}", before, after, 1e-9))
+    return summarize(claim_id, rows, int(trials))

@@ -20,6 +20,7 @@ import numpy as np
 
 from .errors import (
     DomainMismatch,
+    InvalidIntervalIsometry,
     LevelOutOfRange,
     NonPositiveWeight,
     PositionOutOfRange,
@@ -27,7 +28,7 @@ from .errors import (
     TooManyAtoms,
     WeightSumOutOfTolerance,
 )
-from .plf import PLF, concat_plfs, const_plf
+from .plf import PLF
 
 WEIGHT_TOL = 1e-9
 # slack for values that should sit in [0, 1] but picked up rounding noise
@@ -262,8 +263,6 @@ def pushforward_affine(mu: Measure, orientation: int, offset: float) -> Measure:
     On the unit interval only the identity (+1, 0) and the reflection
     (-1, 1) stay inside; anything else is rejected.
     """
-    from .errors import InvalidIntervalIsometry
-
     if orientation not in (1, -1):
         raise ValueError("orientation must be +1 or -1")
     offset = float(offset)
@@ -281,7 +280,6 @@ def pushforward_affine(mu: Measure, orientation: int, offset: float) -> Measure:
         return Measure(mu.domain, PLF(q.breaks, q.yl + offset, q.yr + offset))
     # reflection reverses level space: Q'(y) = offset - Q((1-y)-)
     nb = 1.0 - q.breaks[::-1]
-    nb = nb.copy()
     nb[0] = 0.0
     nb[-1] = 1.0
     return Measure(mu.domain, PLF(nb, offset - q.yr[::-1], offset - q.yl[::-1]))
@@ -294,22 +292,7 @@ def flip(mu: Measure) -> Measure:
     """
     if mu.domain is not Domain.UNIT_INTERVAL:
         raise DomainMismatch("flip is defined on unit-interval measures")
-    q = mu.quantile
-    v0, v1 = q.value_range
-    pieces: list[PLF] = []
-    if v0 == v1:  # Dirac at t: flip is the extremal two-point measure
-        t = v0
-        if t > 0.0:
-            pieces.append(const_plf(0.0, t, 0.0))
-        if t < 1.0:
-            pieces.append(const_plf(t, 1.0, 1.0))
-        return Measure(Domain.UNIT_INTERVAL, concat_plfs(pieces))
-    if v0 > 0.0:
-        pieces.append(const_plf(0.0, v0, 0.0))
-    pieces.append(q.inverse())
-    if v1 < 1.0:
-        pieces.append(const_plf(v1, 1.0, 1.0))
-    return Measure(Domain.UNIT_INTERVAL, concat_plfs(pieces))
+    return Measure(Domain.UNIT_INTERVAL, mu.quantile.padded_inverse(0.0, 1.0))
 
 
 # ----------------------------------------------------------------------
@@ -367,26 +350,6 @@ def param_from_two_point(mu: DiscreteMeasure) -> TwoPointParam:
 # CDF-side tools on the unit interval
 
 
-def _unit_cdf_plf(mu: Measure) -> PLF:
-    """The CDF of a unit-interval measure as a PLF on [0, 1]."""
-    q = mu.quantile
-    v0, v1 = q.value_range
-    if v0 == v1:  # Dirac
-        t = v0
-        if t <= 0.0:
-            return const_plf(0.0, 1.0, 1.0)
-        if t >= 1.0:
-            return const_plf(0.0, 1.0, 0.0)
-        return concat_plfs([const_plf(0.0, t, 0.0), const_plf(t, 1.0, 1.0)])
-    pieces: list[PLF] = []
-    if v0 > 0.0:
-        pieces.append(const_plf(0.0, v0, 0.0))
-    pieces.append(q.inverse())
-    if v1 < 1.0:
-        pieces.append(const_plf(v1, 1.0, 1.0))
-    return concat_plfs(pieces)
-
-
 def dist_to_dirac(mu: Measure, t: float) -> float:
     """W1 distance from mu to the Dirac at t, both on [0, 1].
 
@@ -398,7 +361,7 @@ def dist_to_dirac(mu: Measure, t: float) -> float:
     t = float(t)
     if not (0.0 <= t <= 1.0):
         raise PositionOutOfRange("the Dirac location must lie in [0, 1]")
-    F = _unit_cdf_plf(mu)
+    F = mu.quantile.padded_inverse(0.0, 1.0)
     left = F.integral(0.0, t)
     right = (1.0 - t) - F.integral(t, 1.0)
     return left + right

@@ -26,15 +26,7 @@ import numpy as np
 from .errors import DomainMismatch, EqualEndpoints, NotBisectable
 from .measures import Domain, Measure
 from .metric import geodesic_point, wasserstein_distance
-from .plf import (
-    PLF,
-    _with_crossings,
-    abs_pow_cells,
-    concat_plfs,
-    const_plf,
-    on_common_grid,
-    plf_splice,
-)
+from .plf import PLF, _with_crossings, abs_pow_cells, on_common_grid, plf_splice
 
 
 @dataclass(frozen=True)
@@ -72,21 +64,10 @@ class ProbeResult:
 # CDFs as PLFs on a padded window
 
 
-def _cdf_plf(mu: Measure, lo: float, hi: float) -> PLF:
-    q = mu.quantile
-    v0, v1 = q.value_range
-    if not (lo < v0 and v1 < hi):
-        raise ValueError("window must strictly contain the support")
-    if v0 == v1:  # Dirac
-        return concat_plfs([const_plf(lo, v0, 0.0), const_plf(v0, hi, 1.0)])
-    pieces = [const_plf(lo, v0, 0.0), q.inverse(), const_plf(v1, hi, 1.0)]
-    return concat_plfs(pieces)
-
-
 def _cdf_pair(mu: Measure, nu: Measure) -> tuple[PLF, PLF]:
     a = min(mu.quantile.value_range[0], nu.quantile.value_range[0]) - 1.0
     b = max(mu.quantile.value_range[1], nu.quantile.value_range[1]) + 1.0
-    return _cdf_plf(mu, a, b), _cdf_plf(nu, a, b)
+    return mu.quantile.padded_inverse(a, b), nu.quantile.padded_inverse(a, b)
 
 
 # ----------------------------------------------------------------------
@@ -187,22 +168,28 @@ def _check_bisectable(geo: MidpointGeometry) -> None:
         )
 
 
+def _glue_vertical(a: Measure, b: Measure, v: float, h: float) -> Measure:
+    low = a.quantile.minimum(v)
+    high = b.quantile.maximum(v)
+    return Measure(a.domain, plf_splice(low, high, h))
+
+
+def _glue_horizontal(a: Measure, b: Measure, v: float, h: float) -> Measure:
+    return Measure(a.domain, plf_splice(b.quantile, a.quantile, h))
+
+
 def bisecting_vertical(mu: Measure, nu: Measure) -> Measure:
     """The midpoint whose CDF follows mu left of v and nu from v on."""
     geo = midpoint_geometry(mu, nu)
     _check_bisectable(geo)
-    a, b = _oriented(mu, nu, geo)
-    low = a.quantile.minimum(geo.v)
-    high = b.quantile.maximum(geo.v)
-    return Measure(mu.domain, plf_splice(low, high, geo.h))
+    return _glue_vertical(*_oriented(mu, nu, geo), geo.v, geo.h)
 
 
 def bisecting_horizontal(mu: Measure, nu: Measure) -> Measure:
     """The midpoint whose quantile follows nu below level h and mu above."""
     geo = midpoint_geometry(mu, nu)
     _check_bisectable(geo)
-    a, b = _oriented(mu, nu, geo)
-    return Measure(mu.domain, plf_splice(b.quantile, a.quantile, geo.h))
+    return _glue_horizontal(*_oriented(mu, nu, geo), geo.v, geo.h)
 
 
 def is_midpoint(xi: Measure, mu: Measure, nu: Measure, tol: float = 1e-9) -> bool:
@@ -340,16 +327,6 @@ def midpoint_diameter_probe(
     return ProbeResult(best, (0.5 * D, D), pair, int(trials))
 
 
-def _glue_vertical(a: Measure, b: Measure, v: float, h: float) -> Measure:
-    low = a.quantile.minimum(v)
-    high = b.quantile.maximum(v)
-    return Measure(a.domain, plf_splice(low, high, h))
-
-
-def _glue_horizontal(a: Measure, b: Measure, v: float, h: float) -> Measure:
-    return Measure(a.domain, plf_splice(b.quantile, a.quantile, h))
-
-
 # ----------------------------------------------------------------------
 # the Dirac certificate
 
@@ -387,12 +364,8 @@ def dirac_certificate(eta: Measure, n: float) -> tuple[Measure, Measure] | None:
             s = n / (2.0 * weight)
             if math.isfinite(gap):
                 s = min(s, gap)
-            left = yl.copy()
-            left[k] = value - s
-            right = yl.copy()
-            right[k] = value + s
-            lo = Measure(Domain.REAL_LINE, PLF(breaks, left, _patched(yr, k, value - s)))
-            hi = Measure(Domain.REAL_LINE, PLF(breaks, right, _patched(yr, k, value + s)))
+            lo = Measure(Domain.REAL_LINE, PLF(breaks, _patched(yl, k, value - s), _patched(yr, k, value - s)))
+            hi = Measure(Domain.REAL_LINE, PLF(breaks, _patched(yl, k, value + s), _patched(yr, k, value + s)))
             return lo, hi
     # horizontal type: shift the level of one support gap
     for k in range(m - 1):

@@ -255,6 +255,26 @@ class PLF:
         vb = np.append(nodes[k], nodes[k[-1] + 1])
         return PLF(vb, levels[k], levels[k + 1])
 
+    def padded_inverse(self, lo: float, hi: float) -> "PLF":
+        """``inverse()`` extended to the value window [lo, hi].
+
+        Below the value range it is the constant ``breaks[0]``, above it
+        ``breaks[-1]``; a constant function becomes a single jump at its
+        value.  Of a quantile this is the CDF, of an embedding profile
+        its band of the image quantile.
+        """
+        v0, v1 = self.value_range
+        if not (lo <= v0 and v1 <= hi and lo < hi):
+            raise ValueError("the window must contain the value range")
+        if v0 == v1:  # the jump sits at yl[0]; yr[-1] may be a zero of the other sign
+            v1 = v0
+        pieces = [const_plf(lo, v0, self.breaks[0])] if lo < v0 else []
+        if v0 < v1:
+            pieces.append(self.inverse())
+        if v1 < hi:
+            pieces.append(const_plf(v1, hi, self.breaks[-1]))
+        return concat_plfs(pieces)
+
     # ------------------------------------------------------------------
     # canonical form
 

@@ -1,5 +1,6 @@
 """Verbatim copies of the loop- and tuple-based kernels the array code
-replaced, kept as differential oracles.
+replaced, and of the four padded generalized inverses that
+``PLF.padded_inverse`` replaced, kept as differential oracles.
 
 The array versions in ``wasserline.plf`` and ``wasserline.measures`` must
 reproduce these bit for bit (W1 cells excepted, which are now computed
@@ -12,10 +13,12 @@ from __future__ import annotations
 
 import numpy as np
 
-from wasserline import PLF
+from wasserline import PLF, concat_plfs, const_plf
 from wasserline.errors import (
+    DomainMismatch,
     NonPositiveWeight,
     PositionOutOfRange,
+    ScopeMismatch,
     WeightSumOutOfTolerance,
 )
 from wasserline.measures import WEIGHT_TOL, Domain, Measure
@@ -155,3 +158,110 @@ def to_measure(positions, weights, domain: Domain = Domain.REAL_LINE) -> Measure
 def from_measure(mu: Measure) -> tuple[np.ndarray, np.ndarray]:
     atoms = mu.atoms()
     return discrete_arrays([a for a, _ in atoms], [m for _, m in atoms])
+
+
+# ----------------------------------------------------------------------
+# padded generalized inverses (measures.py, midpoints.py, isometries.py)
+
+
+def flip(mu: Measure) -> Measure:
+    if mu.domain is not Domain.UNIT_INTERVAL:
+        raise DomainMismatch("flip is defined on unit-interval measures")
+    q = mu.quantile
+    v0, v1 = q.value_range
+    pieces: list[PLF] = []
+    if v0 == v1:  # Dirac at t: flip is the extremal two-point measure
+        t = v0
+        if t > 0.0:
+            pieces.append(const_plf(0.0, t, 0.0))
+        if t < 1.0:
+            pieces.append(const_plf(t, 1.0, 1.0))
+        return Measure(Domain.UNIT_INTERVAL, concat_plfs(pieces))
+    if v0 > 0.0:
+        pieces.append(const_plf(0.0, v0, 0.0))
+    pieces.append(q.inverse())
+    if v1 < 1.0:
+        pieces.append(const_plf(v1, 1.0, 1.0))
+    return Measure(Domain.UNIT_INTERVAL, concat_plfs(pieces))
+
+
+def unit_cdf_plf(mu: Measure) -> PLF:
+    """The old ``measures._unit_cdf_plf``."""
+    q = mu.quantile
+    v0, v1 = q.value_range
+    if v0 == v1:  # Dirac
+        t = v0
+        if t <= 0.0:
+            return const_plf(0.0, 1.0, 1.0)
+        if t >= 1.0:
+            return const_plf(0.0, 1.0, 0.0)
+        return concat_plfs([const_plf(0.0, t, 0.0), const_plf(t, 1.0, 1.0)])
+    pieces: list[PLF] = []
+    if v0 > 0.0:
+        pieces.append(const_plf(0.0, v0, 0.0))
+    pieces.append(q.inverse())
+    if v1 < 1.0:
+        pieces.append(const_plf(v1, 1.0, 1.0))
+    return concat_plfs(pieces)
+
+
+def cdf_plf(mu: Measure, lo: float, hi: float) -> PLF:
+    """The old ``midpoints._cdf_plf``."""
+    q = mu.quantile
+    v0, v1 = q.value_range
+    if not (lo < v0 and v1 < hi):
+        raise ValueError("window must strictly contain the support")
+    if v0 == v1:  # Dirac
+        return concat_plfs([const_plf(lo, v0, 0.0), const_plf(v0, hi, 1.0)])
+    pieces = [const_plf(lo, v0, 0.0), q.inverse(), const_plf(v1, hi, 1.0)]
+    return concat_plfs(pieces)
+
+
+def cdf_pair(mu: Measure, nu: Measure) -> tuple[PLF, PLF]:
+    a = min(mu.quantile.value_range[0], nu.quantile.value_range[0]) - 1.0
+    b = max(mu.quantile.value_range[1], nu.quantile.value_range[1]) + 1.0
+    return cdf_plf(mu, a, b), cdf_plf(nu, a, b)
+
+
+_THIRD = 1.0 / 3.0
+_TWO_THIRDS = 2.0 / 3.0
+
+
+def split_embedding_apply(emb, mu: Measure) -> Measure:
+    if mu.domain is not Domain.REAL_LINE:
+        raise ScopeMismatch("the split embedding acts on real-line measures")
+    q = mu.quantile
+    low = q.minimum(0.0)
+    lowb = low.breaks / 3.0
+    lowb = lowb.copy()
+    lowb[0] = 0.0
+    lowb[-1] = _THIRD
+    low_piece = PLF(lowb, 3.0 * low.yl - 1.0, 3.0 * low.yr - 1.0)
+    high = q.maximum(0.0)
+    highb = (high.breaks + 2.0) / 3.0
+    highb = highb.copy()
+    highb[0] = _TWO_THIRDS
+    highb[-1] = 1.0
+    high_piece = PLF(highb, 3.0 * high.yl + 1.0, 3.0 * high.yr + 1.0)
+    middle = middle_band(emb)
+    return Measure(Domain.REAL_LINE, concat_plfs([low_piece, middle, high_piece]))
+
+
+def middle_band(emb) -> PLF:
+    """The old ``isometries._middle_band``."""
+    pr = emb.profile
+    lo, hi = pr.value_range
+    if lo == hi:  # constant profile: the band splits at its single value
+        pieces = []
+        if lo > _THIRD:
+            pieces.append(const_plf(_THIRD, lo, -1.0))
+        if lo < _TWO_THIRDS:
+            pieces.append(const_plf(lo, _TWO_THIRDS, 1.0))
+        return concat_plfs(pieces)
+    pieces = []
+    if lo > _THIRD:
+        pieces.append(const_plf(_THIRD, lo, -1.0))
+    pieces.append(pr.inverse())
+    if hi < _TWO_THIRDS:
+        pieces.append(const_plf(hi, _TWO_THIRDS, 1.0))
+    return concat_plfs(pieces)

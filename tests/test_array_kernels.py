@@ -1,4 +1,5 @@
-"""The array kernels against their loop- and tuple-based predecessors.
+"""The array kernels against their loop- and tuple-based predecessors,
+and ``PLF.padded_inverse`` against the four copies it replaced.
 
 ``reference_kernels`` keeps the replaced code verbatim; every output here
 must match it bit for bit (signs of zeros included), except W1 cells,
@@ -19,10 +20,16 @@ from wasserline import (
     DiscreteMeasure,
     Domain,
     Measure,
+    NotMonotone,
+    SplitEmbedding,
     abs_pow_cells,
+    flip,
     from_atoms,
+    sampling,
+    split_embedding_apply,
     wasserstein_distance,
 )
+from wasserline.midpoints import _cdf_pair
 
 
 def same_bits(x, y) -> bool:
@@ -255,3 +262,106 @@ def test_large_measures_match_the_tuple_path():
     assert same_plf(f.on_grid(grid), ref.on_grid(f, grid))
     mu = from_atoms(list(zip(pos.tolist(), w.tolist())), domain=Domain.REAL_LINE)
     assert same_plf(mu.quantile.inverse(), ref.inverse(mu.quantile))
+
+
+# ----------------------------------------------------------------------
+# the padded generalized inverse
+
+
+_DIRAC_SPOTS = st.one_of(st.sampled_from([0.0, 1.0, 0.25, 0.5]), st.floats(0.0, 1.0))
+
+
+@st.composite
+def unit_measures(draw) -> Measure:
+    """Diracs (at 0, at 1 and inside), mixed and discrete measures on [0, 1]."""
+    kind = draw(st.sampled_from(["dirac", "mixed", "discrete", "clipped"]))
+    if kind == "dirac":
+        return from_atoms([(draw(_DIRAC_SPOTS), 1.0)], domain=Domain.UNIT_INTERVAL)
+    if kind == "clipped":  # flats at 0 and 1, signed zeros
+        f = draw(plfs())
+        return Measure(Domain.UNIT_INTERVAL, PLF(f.breaks, np.clip(f.yl, 0.0, 1.0), np.clip(f.yr, 0.0, 1.0)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if kind == "mixed":
+        return sampling.random_unit_measure(rng)
+    return sampling.random_discrete_measure(rng, Domain.UNIT_INTERVAL)
+
+
+@st.composite
+def real_measures(draw) -> Measure:
+    """Diracs, mixed and discrete measures on the line."""
+    kind = draw(st.sampled_from(["dirac", "mixed", "discrete", "plf"]))
+    if kind == "dirac":
+        return from_atoms([(draw(st.one_of(_DIRAC_SPOTS, st.floats(-10.0, 10.0))), 1.0)])
+    if kind == "plf":
+        return Measure(Domain.REAL_LINE, draw(plfs()))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if kind == "mixed":
+        return sampling.random_real_measure(rng)
+    return sampling.random_discrete_measure(rng)
+
+
+_BAND = st.one_of(st.sampled_from([1.0 / 3.0, 0.5, 2.0 / 3.0]), st.floats(1.0 / 3.0, 2.0 / 3.0))
+
+
+@st.composite
+def profiles(draw) -> PLF:
+    """Constant and rising embedding profiles on [-1, 1] with values in [1/3, 2/3]."""
+    m = draw(st.integers(1, 6))
+    inner = draw(st.lists(st.floats(-1.0, 1.0, exclude_min=True, exclude_max=True),
+                          min_size=m - 1, max_size=m - 1, unique=True))
+    breaks = np.array([-1.0] + sorted(inner) + [1.0])
+    if draw(st.booleans()):
+        nodes = np.full(2 * m, draw(_BAND))
+    else:
+        nodes = np.sort(draw(st.lists(_BAND, min_size=2 * m, max_size=2 * m)))
+    return PLF(breaks, nodes[0::2], nodes[1::2])
+
+
+@settings(max_examples=200, deadline=None)
+@given(unit_measures())
+def test_flip_and_the_unit_cdf_match_their_copies(mu):
+    assert same_measure(flip(mu), ref.flip(mu))
+    cdf, want = mu.quantile.padded_inverse(0.0, 1.0), ref.unit_cdf_plf(mu)
+    if mu.quantile.yr[-1] == 0.0 and np.signbit(mu.quantile.yl[0]):
+        # a Dirac at -0.0: the old Dirac branch started the CDF at a
+        # literal 0.0, where flip and the old general branch keep -0.0
+        assert cdf.equals(want) and same_plf(cdf, flip(mu).quantile)
+    else:
+        assert same_plf(cdf, want)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(real_measures(), unit_measures()), st.one_of(real_measures(), unit_measures()))
+def test_midpoint_cdf_pair_matches_its_copy(mu, nu):
+    for got, want in zip(_cdf_pair(mu, nu), ref.cdf_pair(mu, nu)):
+        assert same_plf(got, want)
+
+
+@settings(max_examples=200, deadline=None)
+@given(profiles(), real_measures())
+def test_split_embedding_matches_its_copy(profile, mu):
+    emb = SplitEmbedding(profile)
+    assert same_plf(profile.padded_inverse(1.0 / 3.0, 2.0 / 3.0), ref.middle_band(emb))
+    try:
+        want = ref.split_embedding_apply(emb, mu)
+    except NotMonotone:
+        # level breaks closer than an ulp of the image band collapse in
+        # the old and the new code alike
+        with pytest.raises(NotMonotone):
+            split_embedding_apply(emb, mu)
+    else:
+        assert same_measure(split_embedding_apply(emb, mu), want)
+
+
+@settings(max_examples=100, deadline=None)
+@given(plfs())
+def test_padded_inverse_window_must_contain_the_value_range(f):
+    v0, v1 = f.value_range
+    bad = [(np.nextafter(v0, np.inf), v1 + 1.0), (v0 - 1.0, np.nextafter(v1, -np.inf)), (v1 + 1.0, v0 - 1.0)]
+    if v0 == v1:
+        bad.append((v0, v1))
+    else:  # the tight window pads nothing
+        assert same_plf(f.padded_inverse(v0, v1), f.inverse())
+    for lo, hi in bad:
+        with pytest.raises(ValueError):
+            f.padded_inverse(lo, hi)

@@ -13,8 +13,10 @@ from wasserline import (
     Domain,
     VerificationReport,
     from_atoms,
+    isometry_from_json,
     measure_from_json,
     measure_to_json,
+    split_embedding_apply,
     wasserstein_distance,
 )
 from wasserline.cli import main
@@ -118,6 +120,34 @@ def test_apply_output_round_trips_as_a_measure(tmp_path, capsys):
     assert main(["apply", iso, mu]) == 0
     out = measure_from_json(json.loads(capsys.readouterr().out))
     assert out.atoms() == [(2.0, 0.5), (3.0, 0.5)]
+
+
+def test_apply_non_integral_orientation_is_exit_two(tmp_path, capsys):
+    # -1.5 used to be truncated to -1, which printed the reflection
+    iso = write_json(tmp_path, "iso.json", {"kind": "trivial", "orientation": -1.5, "offset": 1})
+    mu = write_measure(tmp_path, "mu.json", dirac(0.25, Domain.UNIT_INTERVAL))
+    assert main(["apply", iso, mu]) == 2
+    assert capsys.readouterr().out == ""
+
+
+_SPLIT = {"kind": "split_embedding", "profile": {"breaks": [-1.0, 1.0], "yl": [0.4], "yr": [0.6]}}
+
+
+def test_apply_split_embedding_prints_a_measure(tmp_path, capsys):
+    iso = write_json(tmp_path, "iso.json", _SPLIT)
+    pair = from_atoms([(-3.0, 0.5), (2.0, 0.5)])
+    mu = write_measure(tmp_path, "mu.json", pair)
+    assert main(["apply", iso, mu]) == 0
+    out = measure_from_json(json.loads(capsys.readouterr().out))
+    want = split_embedding_apply(isometry_from_json(_SPLIT), pair)
+    assert out.domain is Domain.REAL_LINE
+    assert wasserstein_distance(out, want, 1.0) <= 1e-12
+
+
+def test_apply_split_embedding_to_a_unit_measure_is_exit_three(tmp_path, capsys):
+    iso = write_json(tmp_path, "iso.json", _SPLIT)
+    mu = write_measure(tmp_path, "mu.json", dirac(0.25, Domain.UNIT_INTERVAL))
+    assert main(["apply", iso, mu]) == 3
 
 
 # ----------------------------------------------------------------------

@@ -1,9 +1,14 @@
 """Isometry catalogue: scope tables, pushforward actions, the exotic flow,
-the split embedding, descriptor JSON, and the empirical verifier."""
+the split embedding, descriptor JSON and its registry, the README's
+descriptor examples, and the empirical verifier."""
 
 from __future__ import annotations
 
+import json
 import math
+import re
+import typing
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -41,6 +46,7 @@ from wasserline import (
     verify_isometry,
     wasserstein_distance,
 )
+from wasserline.isometries import IsometryDescriptor
 from conftest import dirac, uniform01
 
 
@@ -57,6 +63,7 @@ def test_admissible_domain_table():
     assert set(admissible_domains(Translation(dirac(1.0)))) == {Domain.REAL_LINE}
     assert set(admissible_domains(BarycentricReflection())) == {Domain.REAL_LINE}
     assert set(admissible_domains(Exotic(0.5))) == {Domain.REAL_LINE}
+    assert set(admissible_domains(SplitEmbedding.default())) == {Domain.REAL_LINE}
 
 
 def test_composition_scope_chains_right_to_left():
@@ -76,6 +83,7 @@ def test_natural_orders_table():
     assert natural_orders(Flip()) == frozenset({1.0})
     assert natural_orders(BarycentricReflection()) == frozenset({2.0})
     assert natural_orders(Exotic(1.0)) == frozenset({2.0})
+    assert natural_orders(SplitEmbedding.default()) == frozenset({1.0})
     assert natural_orders(Composition([Flip(), Flip()])) == frozenset({1.0})
 
 
@@ -268,6 +276,76 @@ def test_descriptor_json_round_trips():
     ]
     for iso in isos:
         assert isometry_from_json(isometry_to_json(iso)) == iso
+
+
+def test_trivial_orientation_must_be_plus_or_minus_one():
+    with pytest.raises(ValueError):
+        Trivial(-1.5, 1.0)  # used to be truncated to -1
+    iso = Trivial(1.0, 0)
+    assert type(iso.orientation) is int and type(iso.offset) is float
+    assert describe(iso) == "trivial(+1,0)"
+    assert type(Exotic(1).q) is float
+
+
+def _one_of_each() -> list:
+    ramp = PLF(np.array([-1.0, 0.0, 1.0]), np.array([1.0 / 3.0, 0.4]), np.array([0.4, 0.6]))
+    return [
+        Trivial(-1, 1.0),
+        Flip(),
+        Translation(from_atoms([(-1.0, 0.5), (2.0, 0.5)])),
+        BarycentricReflection(),
+        Exotic(0.7),
+        SplitEmbedding.default(),
+        SplitEmbedding(ramp),
+        Composition((SplitEmbedding(ramp), Composition((Exotic(0.1), Trivial(1, 2.0))))),
+    ]
+
+
+def test_registry_kinds_are_unique_and_cover_every_descriptor():
+    members = typing.get_args(IsometryDescriptor)
+    kinds = [cls.kind for cls in members]
+    assert len(set(kinds)) == len(kinds)
+    assert {type(iso) for iso in _one_of_each()} == set(members)
+
+
+def test_every_descriptor_round_trips_through_json_text():
+    for iso in _one_of_each():
+        data = isometry_to_json(iso)
+        back = isometry_from_json(json.loads(json.dumps(data)))
+        assert type(back) is type(iso)
+        assert isometry_to_json(back) == data
+
+
+def test_every_descriptor_answers_the_entry_points():
+    for iso in _one_of_each():
+        assert describe(iso)
+        assert admissible_domains(iso)
+        orders = natural_orders(iso)
+        assert orders is None or isinstance(orders, frozenset)
+
+
+def test_split_embedding_through_the_catalogue():
+    emb = SplitEmbedding.default()
+    mu = sampling.random_real_measure(np.random.default_rng(67))
+    assert apply(emb, mu) == split_embedding_apply(emb, mu)
+    assert verify_isometry(emb, 1.0, trials=40).passed
+    assert set(admissible_domains(Composition([emb, Translation(dirac(0.0))]))) == {Domain.REAL_LINE}
+    with pytest.raises(ScopeMismatch):
+        apply(emb, dirac(0.5, Domain.UNIT_INTERVAL))
+    bad = {"kind": "split_embedding", "profile": {"breaks": [-1.0, 1.0], "yl": [0.0], "yr": [0.5]}}
+    with pytest.raises(ValueError):
+        isometry_from_json(bad)
+
+
+def test_readme_descriptor_examples_parse():
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    fence = r"```(\w*)\n(.*?)```"
+    blocks = [body for lang, body in re.findall(fence, text, flags=re.S) if lang == "json"]
+    examples = [line for block in blocks for line in block.splitlines() if '"kind"' in line]
+    prose = re.sub(fence, "", text, flags=re.S)
+    examples += [span for span in re.findall(r"`([^`]+)`", prose) if '"kind"' in span]
+    kinds = {isometry_from_json(json.loads(example)).kind for example in examples}
+    assert kinds == {cls.kind for cls in typing.get_args(IsometryDescriptor)}
 
 
 def test_descriptor_json_rejects_unknown_kind():
