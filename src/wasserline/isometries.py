@@ -35,7 +35,7 @@ from .measures import (
     pushforward_affine,
 )
 from .metric import check_order, wasserstein_distance
-from .plf import PLF, concat_plfs, plf_combine
+from .plf import PLF, _without_empty_cells, concat_plfs, plf_combine
 from .reports import VerificationReport, row, summarize
 from .sampling import random_discrete_measure, rng_for
 
@@ -418,16 +418,18 @@ def exotic_apply_grid(mu: Measure, q: float, grid_size: int) -> list[tuple[float
 def split_embedding_apply(emb: SplitEmbedding, mu: Measure) -> Measure:
     """The image of a real-line measure under ``emb``; see SplitEmbedding."""
     q = emb._in_scope(mu).quantile
+    # a level cell narrower than an ulp of its image band rounds to zero
+    # width under x -> x/3 or x -> (x + 2)/3 and is dropped
     low = q.minimum(0.0)
     lowb = low.breaks / 3.0
     lowb[0] = 0.0
     lowb[-1] = _THIRD
-    low_piece = PLF(lowb, 3.0 * low.yl - 1.0, 3.0 * low.yr - 1.0)
+    low_piece = _without_empty_cells(lowb, 3.0 * low.yl - 1.0, 3.0 * low.yr - 1.0)
     high = q.maximum(0.0)
     highb = (high.breaks + 2.0) / 3.0
     highb[0] = _TWO_THIRDS
     highb[-1] = 1.0
-    high_piece = PLF(highb, 3.0 * high.yl + 1.0, 3.0 * high.yr + 1.0)
+    high_piece = _without_empty_cells(highb, 3.0 * high.yl + 1.0, 3.0 * high.yr + 1.0)
     middle = emb.profile.padded_inverse(_THIRD, _TWO_THIRDS)
     return Measure(Domain.REAL_LINE, concat_plfs([low_piece, middle, high_piece]))
 

@@ -28,7 +28,7 @@ from .errors import (
     TooManyAtoms,
     WeightSumOutOfTolerance,
 )
-from .plf import PLF
+from .plf import PLF, _without_empty_cells
 
 WEIGHT_TOL = 1e-9
 # slack for values that should sit in [0, 1] but picked up rounding noise
@@ -213,14 +213,10 @@ def _atoms_measure(pos: np.ndarray, w: np.ndarray, domain: Domain) -> Measure:
         raise PositionOutOfRange("atom outside the unit interval")
     cum = np.cumsum(w)
     cum[-1] = 1.0
-    breaks = np.concatenate([[0.0], cum])
-    # drop cells whose width underflowed to zero (weight below one ulp of
-    # the running total); the lost mass is far under the weight tolerance
-    keep = np.diff(breaks) > 0.0
-    if not keep.all():
-        pos = pos[keep]
-        breaks = np.concatenate([[0.0], cum[keep]])
-    return Measure(domain, PLF(breaks, pos, pos))
+    # cells whose width underflowed to zero (weight below one ulp of the
+    # running total) are dropped; the lost mass is far under the weight
+    # tolerance
+    return Measure(domain, _without_empty_cells(np.concatenate([[0.0], cum]), pos, pos))
 
 
 # ----------------------------------------------------------------------

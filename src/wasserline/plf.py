@@ -26,6 +26,11 @@ import numpy as np
 
 from .errors import NotMonotone
 
+# keys and interior breaks from which _segment_index searches in sorted
+# order; with fewer breaks the binary search stays in cache and sorting
+# the keys costs more than it saves
+_SORTED_SEARCH_MIN = 2048
+
 
 def _as_float_array(x) -> np.ndarray:
     a = np.asarray(x, dtype=np.float64)
@@ -89,8 +94,24 @@ class PLF:
     # evaluation
 
     def _segment_index(self, y: np.ndarray, side: str) -> np.ndarray:
-        k = np.searchsorted(self.breaks, y, side=side) - 1
-        return np.clip(k, 0, self.num_segments - 1)
+        """Segment of each key: ``searchsorted(breaks, y, side) - 1``,
+        clipped to the segment range, which is a search among the
+        interior breaks alone.
+
+        At least ``_SORTED_SEARCH_MIN`` keys that are not already
+        nondecreasing, into at least as many interior breaks, are searched
+        in sorted order and the indices scattered back: NumPy narrows each
+        search to the bounds of the previous key, so sorted keys cost far
+        less than scattered ones, and the integers are the same.
+        """
+        inner = self.breaks[1:-1]
+        flat = y.ravel()
+        if min(y.size, len(inner)) < _SORTED_SEARCH_MIN or np.all(flat[1:] >= flat[:-1]):
+            return np.searchsorted(inner, y, side=side)
+        order = np.argsort(flat)
+        k = np.empty(flat.size, dtype=np.intp)
+        k[order] = np.searchsorted(inner, flat[order], side=side)
+        return k.reshape(y.shape)
 
     def _interp(self, k: np.ndarray, y: np.ndarray) -> np.ndarray:
         b, lo, hi = self.breaks[k], self.yl[k], self.yr[k]
@@ -125,8 +146,12 @@ class PLF:
     # ------------------------------------------------------------------
     # regridding
 
-    def on_grid(self, grid: np.ndarray) -> "PLF":
+    def on_grid(self, grid: np.ndarray, k: np.ndarray | None = None) -> "PLF":
         """Re-express on ``grid``, a strictly increasing superset of breaks.
+
+        ``k``, when given, is the segment holding each cell of the grid,
+        ``_segment_index(grid[:-1], "right")``, as ``common_grid`` reads it
+        off its merge; otherwise it is searched here.
 
         An inserted node is interpolated once, and the value serves both
         cells that meet there, so the two sides agree bit for bit and
@@ -138,7 +163,8 @@ class PLF:
         if len(grid) == len(self.breaks) and np.array_equal(grid, self.breaks):
             return self
         left = grid[:-1]
-        k = self._segment_index(left, "right")
+        if k is None:
+            k = self._segment_index(left, "right")
         b, lo, hi = self.breaks[k], self.yl[k], self.yr[k]
         nyl = np.where(left == b, lo, hi)
         nyr = hi
@@ -329,17 +355,54 @@ def concat_plfs(pieces: list[PLF]) -> PLF:
     )
 
 
-def common_grid(f: PLF, g: PLF) -> np.ndarray:
+def _without_empty_cells(breaks: np.ndarray, yl: np.ndarray, yr: np.ndarray) -> PLF:
+    """PLF on nondecreasing ``breaks``, with the cells of zero width
+    dropped.  A dropped cell's values lie between its neighbours', so the
+    function stays monotone."""
+    keep = np.diff(breaks) > 0.0
+    if not keep.all():
+        breaks = np.append(breaks[:-1][keep], breaks[-1])
+        yl, yr = yl[keep], yr[keep]
+    return PLF(breaks, yl, yr)
+
+
+def common_grid(f: PLF, g: PLF) -> tuple[np.ndarray, np.ndarray | None, np.ndarray | None]:
+    """The union of both break arrays and the segment of f and of g that
+    holds each of its cells.
+
+    Returns ``(grid, kf, kg)`` with ``kf = searchsorted(f.breaks,
+    grid[:-1], "right") - 1`` and likewise ``kg``; equal break arrays
+    return ``(f.breaks, None, None)``.  One stable argsort of the two
+    concatenated arrays merges their sorted runs in linear time.  A value
+    in both arrays is one node, f's copy; the number of f's breaks up to
+    a node is a running count over the merge, taken at the node's last
+    position, so no node is searched for.
+    """
     if f.breaks[0] != g.breaks[0] or f.breaks[-1] != g.breaks[-1]:
         raise ValueError("functions live on different domains")
     if len(f.breaks) == len(g.breaks) and np.array_equal(f.breaks, g.breaks):
-        return f.breaks
-    return np.union1d(f.breaks, g.breaks)
+        return f.breaks, None, None
+    both = np.concatenate([f.breaks, g.breaks])
+    order = np.argsort(both, kind="stable")
+    nodes = both[order]
+    del both
+    nf = np.cumsum(order < len(f.breaks))
+    del order
+    first = np.empty(len(nodes), dtype=bool)
+    first[0] = True
+    np.not_equal(nodes[1:], nodes[:-1], out=first[1:])
+    grid = nodes[first]
+    del nodes
+    # the last merged position of every node below the top one
+    last = np.flatnonzero(first[1:])
+    del first
+    nf = nf[last]
+    return grid, nf - 1, last - nf
 
 
 def on_common_grid(f: PLF, g: PLF) -> tuple[PLF, PLF]:
-    grid = common_grid(f, g)
-    return f.on_grid(grid), g.on_grid(grid)
+    grid, kf, kg = common_grid(f, g)
+    return f.on_grid(grid, kf), g.on_grid(grid, kg)
 
 
 def _coerce(other, like: PLF) -> PLF:

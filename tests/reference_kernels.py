@@ -1,6 +1,7 @@
 """Verbatim copies of the loop- and tuple-based kernels the array code
-replaced, and of the four padded generalized inverses that
-``PLF.padded_inverse`` replaced, kept as differential oracles.
+replaced, of the four padded generalized inverses that
+``PLF.padded_inverse`` replaced, and of the searched common grid that the
+merge-indexed one replaced, kept as differential oracles.
 
 The array versions in ``wasserline.plf`` and ``wasserline.measures`` must
 reproduce these bit for bit (W1 cells excepted, which are now computed
@@ -86,6 +87,43 @@ def abs_pow_cells(w, a, b, p: float) -> np.ndarray:
     divided = (_signed_pow_primitive(b, p) - _signed_pow_primitive(a, p)) / safe
     flat = np.abs((a + b) * 0.5) ** p
     return w * np.where(steep, divided, flat)
+
+
+# the searched common grid: a union of the break arrays, then one binary
+# search per grid node and function
+
+
+def segment_index(self: PLF, y: np.ndarray, side: str) -> np.ndarray:
+    k = np.searchsorted(self.breaks, y, side=side) - 1
+    return np.clip(k, 0, self.num_segments - 1)
+
+
+def searched_on_grid(self: PLF, grid: np.ndarray) -> PLF:
+    if len(grid) == len(self.breaks) and np.array_equal(grid, self.breaks):
+        return self
+    left = grid[:-1]
+    k = segment_index(self, left, "right")
+    b, lo, hi = self.breaks[k], self.yl[k], self.yr[k]
+    nyl = np.where(left == b, lo, hi)
+    nyr = hi
+    # cells whose left node is inserted inside a rising segment; the
+    # cell before ends on the same node, inside the same segment
+    i = np.flatnonzero((lo[1:] != hi[1:]) & (left[1:] != b[1:])) + 1
+    nyl[i] = nyr[i - 1] = self._interp(k[i], left[i])
+    return PLF(grid, nyl, nyr)
+
+
+def union_common_grid(f: PLF, g: PLF) -> np.ndarray:
+    if f.breaks[0] != g.breaks[0] or f.breaks[-1] != g.breaks[-1]:
+        raise ValueError("functions live on different domains")
+    if len(f.breaks) == len(g.breaks) and np.array_equal(f.breaks, g.breaks):
+        return f.breaks
+    return np.union1d(f.breaks, g.breaks)
+
+
+def union_on_common_grid(f: PLF, g: PLF) -> tuple[PLF, PLF]:
+    grid = union_common_grid(f, g)
+    return searched_on_grid(f, grid), searched_on_grid(g, grid)
 
 
 # ----------------------------------------------------------------------

@@ -1,5 +1,7 @@
 """The array kernels against their loop- and tuple-based predecessors,
-and ``PLF.padded_inverse`` against the four copies it replaced.
+``PLF.padded_inverse`` against the four copies it replaced, and the
+merge-indexed common grid and sorted-key segment search against the
+searched grid they replaced.
 
 ``reference_kernels`` keeps the replaced code verbatim; every output here
 must match it bit for bit (signs of zeros included), except W1 cells,
@@ -7,6 +9,8 @@ which are checked against mpmath at 50 digits instead.
 """
 
 from __future__ import annotations
+
+from unittest import mock
 
 import mpmath
 import numpy as np
@@ -23,6 +27,8 @@ from wasserline import (
     NotMonotone,
     SplitEmbedding,
     abs_pow_cells,
+    abs_pow_gap,
+    cdf_eval,
     flip,
     from_atoms,
     sampling,
@@ -30,6 +36,7 @@ from wasserline import (
     wasserstein_distance,
 )
 from wasserline.midpoints import _cdf_pair
+from wasserline.plf import _SORTED_SEARCH_MIN, common_grid, on_common_grid
 
 
 def same_bits(x, y) -> bool:
@@ -58,16 +65,19 @@ _STEPS = st.one_of(
 
 
 @st.composite
-def plfs(draw, max_segments: int = 8) -> PLF:
-    """Monotone PLFs on [0, 1] with flats, jumps and signed zeros."""
-    m = draw(st.integers(1, max_segments))
-    inner = draw(
-        st.lists(
-            st.one_of(st.sampled_from([0.125, 0.25, 0.5, 0.75]), st.floats(0.0, 1.0, exclude_min=True, exclude_max=True)),
-            min_size=m - 1, max_size=m - 1, unique=True,
+def plfs(draw, max_segments: int = 8, breaks: np.ndarray | None = None) -> PLF:
+    """Monotone PLFs on [0, 1] with flats, jumps and signed zeros, on
+    drawn breaks or on the given ones."""
+    if breaks is None:
+        m = draw(st.integers(1, max_segments))
+        inner = draw(
+            st.lists(
+                st.one_of(st.sampled_from([0.125, 0.25, 0.5, 0.75]), st.floats(0.0, 1.0, exclude_min=True, exclude_max=True)),
+                min_size=m - 1, max_size=m - 1, unique=True,
+            )
         )
-    )
-    breaks = np.array([0.0] + sorted(inner) + [1.0])
+        breaks = np.array([0.0] + sorted(inner) + [1.0])
+    m = len(breaks) - 1
     start = draw(st.sampled_from([-1.0, -0.5, -0.0, 0.0, 0.75, -3.0]))
     steps = draw(st.lists(_STEPS, min_size=2 * m - 1, max_size=2 * m - 1))
     nodes = start + np.concatenate([[0.0], np.cumsum(steps)])
@@ -118,6 +128,136 @@ def test_on_grid_matches_the_pinned_interpolation(f, points, midpoints):
     if midpoints:
         grid = np.union1d(grid, 0.5 * (grid[:-1] + grid[1:]))
     assert same_plf(f.on_grid(grid), ref.on_grid(f, grid))
+
+
+@st.composite
+def plf_pairs(draw) -> tuple[PLF, PLF]:
+    """Two PLFs on [0, 1]: free breaks (often sharing the dyadic interior
+    ones), one break array a subset of the other, or the same breaks."""
+    f = draw(plfs())
+    kind = draw(st.sampled_from(["free", "subset", "same"]))
+    if kind == "free":
+        g = draw(plfs())
+    else:
+        keep = np.ones(len(f.breaks), dtype=bool)
+        if kind == "subset":
+            keep[1:-1] = draw(st.lists(st.booleans(), min_size=len(f.breaks) - 2, max_size=len(f.breaks) - 2))
+        g = draw(plfs(breaks=f.breaks[keep]))
+    return (g, f) if draw(st.booleans()) else (f, g)
+
+
+def _searched_indices(f: PLF, grid: np.ndarray) -> np.ndarray:
+    return np.clip(np.searchsorted(f.breaks, grid[:-1], "right") - 1, 0, f.num_segments - 1)
+
+
+@settings(max_examples=300, deadline=None)
+@given(plf_pairs())
+def test_merged_grid_matches_the_searched_one(pair):
+    f, g = pair
+    grid, kf, kg = common_grid(f, g)
+    assert same_bits(grid, ref.union_common_grid(f, g))
+    if np.array_equal(f.breaks, g.breaks):
+        assert kf is None and kg is None
+    else:
+        assert same_bits(kf, _searched_indices(f, grid)) and same_bits(kg, _searched_indices(g, grid))
+    for got, want in zip(on_common_grid(f, g), ref.union_on_common_grid(f, g)):
+        assert same_plf(got, want)
+
+
+def _searched_gaps(f: PLF, g: PLF) -> list[float]:
+    """Gaps and distances at p in {1, 1.5, 2, 3}, over the whole domain and
+    a window."""
+    mu, nu = Measure(Domain.REAL_LINE, f), Measure(Domain.REAL_LINE, g)
+    out = []
+    for p in (1.0, 1.5, 2.0, 3.0):
+        out += [abs_pow_gap(f, g, p), abs_pow_gap(f, g, p, 0.125, 0.75), wasserstein_distance(mu, nu, p)]
+    return out
+
+
+def _assert_gaps_match_the_searched_grid(f: PLF, g: PLF) -> None:
+    got = _searched_gaps(f, g)
+    with mock.patch("wasserline.plf.on_common_grid", ref.union_on_common_grid):
+        want = _searched_gaps(f, g)
+    assert all(same_bits(x, y) for x, y in zip(got, want))
+
+
+@settings(max_examples=200, deadline=None)
+@given(plf_pairs())
+def test_gaps_and_distances_match_the_searched_grid(pair):
+    _assert_gaps_match_the_searched_grid(*pair)
+
+
+def test_large_merged_pairs_match_the_searched_grid():
+    rng = np.random.default_rng(20200204)
+    n = 2**16
+    pos = rng.normal(size=n)
+    pos[:50] = -0.0  # one tied atom at -0.0
+    a = DiscreteMeasure(pos, np.full(n, 1.0 / n)).to_measure().quantile
+    # dyadic weights four times as large: from 52/n on, every fourth break of a
+    c = DiscreteMeasure(rng.normal(size=n // 4), np.full(n // 4, 4.0 / n)).to_measure().quantile
+    m = 3 * n // 4
+    b = DiscreteMeasure(rng.normal(1.0, 2.0, size=m), rng.dirichlet(np.ones(m))).to_measure().quantile
+    # ramps, flats and jumps on a's breaks
+    k = 2 * a.num_segments
+    nodes = np.cumsum(np.where(rng.random(k) < 0.3, 0.0, rng.random(k))) - float(n) / 2
+    ramp = PLF(a.breaks, nodes[0::2], nodes[1::2])
+    for f, g in ((a, b), (b, a), (a, c), (c, a), (ramp, b), (c, ramp)):
+        for got, want in zip(on_common_grid(f, g), ref.union_on_common_grid(f, g)):
+            assert same_plf(got, want)
+        _assert_gaps_match_the_searched_grid(f, g)
+
+
+def _many_segments(rng: np.random.Generator) -> PLF:
+    """A PLF on [0, 1] with more breaks than the sorted-search floor,
+    flats, jumps and signed zeros."""
+    inner = np.concatenate([[0.125, 0.25, 0.5, 0.75], rng.random(_SORTED_SEARCH_MIN + int(rng.integers(0, 300)))])
+    breaks = np.unique(np.concatenate([[0.0, 1.0], inner]))
+    steps = np.where(rng.random(2 * (len(breaks) - 1)) < 0.3, 0.0, rng.random(2 * (len(breaks) - 1)))
+    steps[:4] = 0.0
+    nodes = np.cumsum(steps)
+    nodes[:2] = -0.0
+    return PLF(breaks, nodes[0::2], nodes[1::2])
+
+
+def _search_keys(rng: np.random.Generator, f: PLF) -> np.ndarray:
+    """More keys than the sorted-search floor, unsorted, with duplicates,
+    exact breaks, signed zeros, values outside the domain, +-inf and NaN."""
+    n = 2 * (_SORTED_SEARCH_MIN + int(rng.integers(0, 300)))
+    keys = rng.uniform(-0.1, 1.1, n)
+    keys[rng.choice(n, n // 4, replace=False)] = rng.choice(f.breaks, n // 4)
+    keys[rng.choice(n, n // 8, replace=False)] = keys[rng.choice(n, n // 8)]
+    special = np.array([0.0, -0.0, 1.0, np.inf, -np.inf, np.nan])
+    keys[rng.choice(n, 24, replace=False)] = rng.choice(special, 24)
+    return keys
+
+
+@settings(max_examples=60, deadline=None)
+@given(plfs(), st.integers(0, 2**32 - 1))
+def test_sorted_key_search_matches_the_direct_one(few, seed):
+    # few breaks search directly, many search in sorted order
+    rng = np.random.default_rng(seed)
+    for f in (few, _many_segments(rng)):
+        keys = _search_keys(rng, f)
+        # NaN passes the domain gates of eval, left_limit and prefix_integrals
+        x = np.where((keys >= 0.0) & (keys <= 1.0) | np.isnan(keys), keys, 0.5)
+        mu = Measure(Domain.REAL_LINE, f)
+
+        def reads():
+            return [
+                f._segment_index(keys, "right"),
+                f._segment_index(keys, "left"),
+                f.eval(x),
+                f.eval(x.reshape(2, -1)[:, ::-1]),
+                f.left_limit(x),
+                f.prefix_integrals(x),
+                cdf_eval(mu, keys),
+                cdf_eval(mu, np.sort(keys)),
+            ]
+
+        got = reads()
+        with mock.patch.object(PLF, "_segment_index", ref.segment_index):
+            want = reads()
+        assert all(same_bits(a, b) for a, b in zip(got, want))
 
 
 _CELL_VALUES = st.one_of(
@@ -345,10 +485,14 @@ def test_split_embedding_matches_its_copy(profile, mu):
     try:
         want = ref.split_embedding_apply(emb, mu)
     except NotMonotone:
-        # level breaks closer than an ulp of the image band collapse in
-        # the old and the new code alike
-        with pytest.raises(NotMonotone):
-            split_embedding_apply(emb, mu)
+        # level cells narrower than an ulp of the image band collapsed in
+        # the old code; the new code drops them and stays a W1 isometry
+        origin = from_atoms([(0.0, 1.0)])
+        d = wasserstein_distance(mu, origin, 1.0)
+        image = split_embedding_apply(emb, mu)
+        assert wasserstein_distance(image, split_embedding_apply(emb, origin), 1.0) == pytest.approx(
+            d, abs=1e-12 * (1.0 + d)
+        )
     else:
         assert same_measure(split_embedding_apply(emb, mu), want)
 

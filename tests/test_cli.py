@@ -11,9 +11,11 @@ import pytest
 
 from wasserline import (
     Domain,
+    SplitEmbedding,
     VerificationReport,
     from_atoms,
     isometry_from_json,
+    isometry_to_json,
     measure_from_json,
     measure_to_json,
     split_embedding_apply,
@@ -141,6 +143,17 @@ def test_apply_split_embedding_prints_a_measure(tmp_path, capsys):
     out = measure_from_json(json.loads(capsys.readouterr().out))
     want = split_embedding_apply(isometry_from_json(_SPLIT), pair)
     assert out.domain is Domain.REAL_LINE
+    assert wasserstein_distance(out, want, 1.0) <= 1e-12
+
+
+def test_apply_split_embedding_with_a_collapsing_level_cell_exits_zero(tmp_path, capsys):
+    # the atom at -1 has a level cell that x -> (x + 2)/3 rounds to zero width
+    iso = write_json(tmp_path, "iso.json", isometry_to_json(SplitEmbedding.default()))
+    pair = from_atoms([(-1.0, 1e-17), (1.0, 1.0 - 1e-17)])
+    mu = write_measure(tmp_path, "mu.json", pair)
+    assert main(["apply", iso, mu]) == 0
+    out = measure_from_json(json.loads(capsys.readouterr().out))
+    want = split_embedding_apply(SplitEmbedding.default(), pair)
     assert wasserstein_distance(out, want, 1.0) <= 1e-12
 
 

@@ -255,6 +255,26 @@ def test_split_embedding_images_share_the_middle_band():
     assert a.restrict(third, 2 * third).equals(b.restrict(third, 2 * third))
 
 
+@pytest.mark.parametrize(
+    "atoms",
+    [
+        [(-1.0, 1e-17), (1.0, 1.0 - 1e-17)],  # x -> (x + 2)/3 merges levels 0 and 1e-17
+        [(1.0, 1.0 - 1e-16), (2.0, 1e-16)],  # ... and levels 1 - 2**-53 and 1
+        [(-2.0, 1.0 - 1e-16), (-1.0, 1e-16)],  # x -> x/3 merges levels 1 - 2**-53 and 1
+    ],
+)
+def test_split_embedding_drops_level_cells_it_collapses(atoms):
+    # a level cell narrower than an ulp of its image band used to make
+    # the image's breaks non-increasing and raise NotMonotone
+    emb = SplitEmbedding.default()
+    mu = from_atoms(atoms)
+    image = apply(emb, mu)
+    assert np.all(np.diff(image.quantile.breaks) > 0.0)
+    for x in (-3.0, 0.0, 2.5):
+        d = wasserstein_distance(mu, dirac(x), 1.0)
+        assert wasserstein_distance(image, apply(emb, dirac(x)), 1.0) == pytest.approx(d, abs=1e-12)
+
+
 def test_split_embedding_needs_the_real_line():
     with pytest.raises(ScopeMismatch):
         split_embedding_apply(SplitEmbedding.default(), dirac(0.5, Domain.UNIT_INTERVAL))

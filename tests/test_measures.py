@@ -7,7 +7,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from wasserline import (
@@ -112,6 +112,7 @@ def test_quantile_level_gates():
 
 @settings(max_examples=60, deadline=None)
 @given(st.integers(0, 2**32 - 1))
+@example(28)
 def test_quantile_cdf_galois_correspondence(seed):
     rng = np.random.default_rng(seed)
     mu = sampling.random_discrete_measure(rng) if seed % 2 else sampling.random_real_measure(rng)
@@ -123,7 +124,9 @@ def test_quantile_cdf_galois_correspondence(seed):
         # one-sided bounds for the upper quantile, up to evaluation rounding
         # (interpolating through a strictly rising segment costs a few ulps)
         q_u = quantile_eval(mu, u)
-        assert cdf_eval(mu, q_u) >= u - 1e-13
+        # q_u is rounded to a double, and on a steep CDF one ulp of q_u is
+        # worth more level than 1e-13: the bound holds at q_u's precision
+        assert cdf_eval(mu, np.nextafter(q_u, np.inf)) >= u - 1e-13
         fx = cdf_eval(mu, x)
         if 0.0 < fx < 1.0:
             assert quantile_eval(mu, fx) >= x - 1e-13 * scale

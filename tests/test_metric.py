@@ -4,6 +4,7 @@ metric axioms, geodesics, and the monotone parameter range."""
 from __future__ import annotations
 
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from wasserline import (
+    PLF,
     DiscreteMeasure,
     Domain,
     DomainMismatch,
@@ -24,7 +26,28 @@ from wasserline import (
     transport_lp_oracle,
     wasserstein_distance,
 )
+from wasserline import metric, plf
 from conftest import dirac, linprog_transport, quad_quantile_gap, uniform01
+
+
+# ----------------------------------------------------------------------
+# the call chain
+
+
+def test_a_merged_grid_distance_runs_the_whole_chain():
+    # the benchmark's per-layer table names each of these callables
+    mu = from_atoms([(0.0, 0.25), (1.0, 0.75)])
+    nu = from_atoms([(0.5, 0.5), (2.0, 0.5)])
+    with (
+        mock.patch.object(metric, "abs_pow_gap", wraps=plf.abs_pow_gap) as gap,
+        mock.patch.object(plf, "on_common_grid", wraps=plf.on_common_grid) as on_common,
+        mock.patch.object(plf, "common_grid", wraps=plf.common_grid) as common,
+        mock.patch.object(PLF, "on_grid", autospec=True, side_effect=PLF.on_grid) as on_grid,
+        mock.patch.object(plf, "abs_pow_cells", wraps=plf.abs_pow_cells) as cells,
+    ):
+        assert wasserstein_distance(mu, nu, 2.0) > 0.0
+    assert (gap.call_count, on_common.call_count, common.call_count, cells.call_count) == (1, 1, 1, 1)
+    assert [c.args[0] for c in on_grid.call_args_list] == [mu.quantile, nu.quantile]
 
 
 # ----------------------------------------------------------------------
