@@ -226,7 +226,7 @@ def _atoms_measure(pos: np.ndarray, w: np.ndarray, domain: Domain) -> Measure:
 def quantile_eval(mu: Measure, y):
     """Right-continuous quantile at interior levels 0 < y < 1."""
     arr = np.asarray(y, dtype=np.float64)
-    if np.any(arr <= 0.0) or np.any(arr >= 1.0):
+    if not np.all((arr > 0.0) & (arr < 1.0)):  # NaN fails too
         raise LevelOutOfRange("quantile levels must lie strictly inside (0, 1)")
     return mu.quantile.eval(y)
 

@@ -26,7 +26,7 @@ import numpy as np
 from .errors import DomainMismatch, EqualEndpoints, NotBisectable
 from .measures import Domain, Measure
 from .metric import geodesic_point, wasserstein_distance
-from .plf import PLF, _with_crossings, abs_pow_cells, on_common_grid, plf_splice
+from .plf import PLF, _with_crossings, abs_pow_cells, common_grid, on_common_grid, plf_splice
 
 
 @dataclass(frozen=True)
@@ -135,8 +135,8 @@ def midpoint_geometry(mu: Measure, nu: Measure) -> MidpointGeometry:
     h = _half_area_point(mu.quantile, nu.quantile)
 
     qm, qn = _with_crossings(mu.quantile, nu.quantile)
-    q_lo = PLF(qm.breaks, np.minimum(qm.yl, qn.yl), np.minimum(qm.yr, qn.yr))
-    q_hi = PLF(qm.breaks, np.maximum(qm.yl, qn.yl), np.maximum(qm.yr, qn.yr))
+    q_lo = PLF._trusted(qm.breaks, np.minimum(qm.yl, qn.yl), np.minimum(qm.yr, qn.yr))
+    q_hi = PLF._trusted(qm.breaks, np.maximum(qm.yl, qn.yl), np.maximum(qm.yr, qn.yr))
     lo_v = q_lo.minimum(v)
     hi_v = q_hi.minimum(v)
     lo_cap = q_lo.maximum(v)
@@ -243,6 +243,15 @@ def _flatten_nodes(f: PLF) -> np.ndarray:
     return out
 
 
+def _probe_grid(mu: Measure, nu: Measure, deterministic: list[Measure], h: float) -> tuple[np.ndarray, list[PLF]]:
+    """Breaks of mu, nu, their crossings, the candidates, h and cell midpoints; the quantiles on it."""
+    quantiles = [mu.quantile, nu.quantile] + [c.quantile for c in deterministic]
+    crossed = _with_crossings(mu.quantile, nu.quantile)[0].breaks
+    grid = common_grid(points=[crossed] + [q.breaks for q in quantiles[2:]] + [np.array([h])])[0]
+    grid, *ks = common_grid(*quantiles, points=[grid, 0.5 * (grid[:-1] + grid[1:])])
+    return grid, [q.on_grid(grid, k) for q, k in zip(quantiles, ks)]
+
+
 def midpoint_diameter_probe(
     mu: Measure, nu: Measure, trials: int = 2000, seed: int = 0
 ) -> ProbeResult:
@@ -274,14 +283,7 @@ def midpoint_diameter_probe(
             if is_midpoint(cand, mu, nu, tol=1e-9):
                 deterministic.append(cand)
 
-    qm, qn = _with_crossings(mu.quantile, nu.quantile)
-    grid = qm.breaks
-    for cand in deterministic:
-        grid = np.union1d(grid, cand.quantile.breaks)
-    grid = np.union1d(grid, [h])
-    grid = np.union1d(grid, 0.5 * (grid[:-1] + grid[1:]))
-    qm = mu.quantile.on_grid(grid)
-    qn = nu.quantile.on_grid(grid)
+    grid, (qm, qn, *cands) = _probe_grid(mu, nu, deterministic, h)
     w = np.diff(grid)
     e_lo = np.minimum(_flatten_nodes(qm), _flatten_nodes(qn))
     e_hi = np.maximum(_flatten_nodes(qm), _flatten_nodes(qn))
@@ -290,7 +292,7 @@ def midpoint_diameter_probe(
     u = rng.random((int(trials), len(e_lo)))
     nodes = e_lo + u * (e_hi - e_lo)
     np.maximum.accumulate(nodes, axis=1, out=nodes)
-    det_rows = [_flatten_nodes(c.quantile.on_grid(grid)) for c in deterministic]
+    det_rows = [_flatten_nodes(c) for c in cands]
     nodes = np.vstack([nodes] + det_rows)
 
     m_nodes = _flatten_nodes(qm)

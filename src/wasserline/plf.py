@@ -16,10 +16,20 @@ All arithmetic that feeds exactness guarantees elsewhere (dyadic
 corpora, involution identities) either shuffles existing floats or is
 exact in binary; anything else is plain IEEE double work guarded to
 stay monotone.
+
+Every ``PLF`` array is read-only.  ``PLF(...)`` validates and copies;
+``PLF._trusted`` stores read-only views unchecked, for results finite and
+monotone by construction: ``on_grid`` (input nodes, or values pinned in
+their segment), ``restrict``/``canonical`` (parts of a valid function),
+``inverse`` (after its tiling check), ``minimum``/``maximum`` (pointwise
+extremes of monotone nodes) and ``concat_plfs`` (after its seam checks).
+``plf_combine`` (a signed blend may decrease), ``map_values`` and
+``map_levels`` (rounding collapses breaks, overflow reaches inf) validate.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -66,6 +76,15 @@ class PLF:
             a = a.copy()
             a.setflags(write=False)
             object.__setattr__(self, name, a)
+
+    @classmethod
+    def _trusted(cls, breaks: np.ndarray, yl: np.ndarray, yr: np.ndarray) -> "PLF":
+        """Read-only views of float arrays valid by construction; no checks, no copies."""
+        self = object.__new__(cls)
+        self.__dict__.update(breaks=breaks.view(), yl=yl.view(), yr=yr.view())
+        for a in self.__dict__.values():
+            a.setflags(write=False)
+        return self
 
     # ------------------------------------------------------------------
     # basic queries
@@ -146,12 +165,12 @@ class PLF:
     # ------------------------------------------------------------------
     # regridding
 
-    def on_grid(self, grid: np.ndarray, k: np.ndarray | None = None) -> "PLF":
+    def on_grid(self, grid: np.ndarray, k: np.ndarray | None) -> "PLF":
         """Re-express on ``grid``, a strictly increasing superset of breaks.
 
-        ``k``, when given, is the segment holding each cell of the grid,
-        ``_segment_index(grid[:-1], "right")``, as ``common_grid`` reads it
-        off its merge; otherwise it is searched here.
+        ``k`` is the segment of each grid cell, ``_segment_index(grid[:-1],
+        "right")``, as ``common_grid`` returns it (``None`` only when the
+        grid is the breaks, which returns ``self``); nothing is searched.
 
         An inserted node is interpolated once, and the value serves both
         cells that meet there, so the two sides agree bit for bit and
@@ -163,8 +182,6 @@ class PLF:
         if len(grid) == len(self.breaks) and np.array_equal(grid, self.breaks):
             return self
         left = grid[:-1]
-        if k is None:
-            k = self._segment_index(left, "right")
         b, lo, hi = self.breaks[k], self.yl[k], self.yr[k]
         nyl = np.where(left == b, lo, hi)
         nyr = hi
@@ -172,15 +189,15 @@ class PLF:
         # cell before ends on the same node, inside the same segment
         i = np.flatnonzero((lo[1:] != hi[1:]) & (left[1:] != b[1:])) + 1
         nyl[i] = nyr[i - 1] = self._interp(k[i], left[i])
-        return PLF(grid, nyl, nyr)
+        return PLF._trusted(grid, nyl, nyr)
 
     def refine(self, points) -> "PLF":
         pts = np.asarray(points, dtype=np.float64).ravel()
         if pts.size == 0:
             return self
-        if np.any(pts < self.breaks[0]) or np.any(pts > self.breaks[-1]):
+        if not np.all((pts >= self.breaks[0]) & (pts <= self.breaks[-1])):  # NaN fails too
             raise ValueError("refinement point outside the domain")
-        return self.on_grid(np.union1d(self.breaks, pts))
+        return self.on_grid(*common_grid(self, points=[pts]))
 
     def restrict(self, lo: float, hi: float) -> "PLF":
         """The same function viewed on the window [lo, hi]."""
@@ -190,7 +207,7 @@ class PLF:
         h = self.refine(np.array([lo, hi]))
         i0 = int(np.searchsorted(h.breaks, lo, side="left"))
         i1 = int(np.searchsorted(h.breaks, hi, side="left"))
-        return PLF(h.breaks[i0 : i1 + 1], h.yl[i0:i1], h.yr[i0:i1])
+        return PLF._trusted(h.breaks[i0 : i1 + 1], h.yl[i0:i1], h.yr[i0:i1])
 
     # ------------------------------------------------------------------
     # algebra
@@ -212,11 +229,11 @@ class PLF:
 
     def minimum(self, other) -> "PLF":
         f, g = _with_crossings(self, _coerce(other, self))
-        return PLF(f.breaks, np.minimum(f.yl, g.yl), np.minimum(f.yr, g.yr))
+        return PLF._trusted(f.breaks, np.minimum(f.yl, g.yl), np.minimum(f.yr, g.yr))
 
     def maximum(self, other) -> "PLF":
         f, g = _with_crossings(self, _coerce(other, self))
-        return PLF(f.breaks, np.maximum(f.yl, g.yl), np.maximum(f.yr, g.yr))
+        return PLF._trusted(f.breaks, np.maximum(f.yl, g.yl), np.maximum(f.yr, g.yr))
 
     # ------------------------------------------------------------------
     # integrals
@@ -238,10 +255,7 @@ class PLF:
             raise ValueError("integration window outside the domain")
         if lo == hi:
             return 0.0
-        h = self.refine(np.array([lo, hi]))
-        i0 = int(np.searchsorted(h.breaks, lo, side="left"))
-        i1 = int(np.searchsorted(h.breaks, hi, side="left"))
-        return float(np.sum(h._cell_areas()[i0:i1]))
+        return float(np.sum(self.restrict(lo, hi)._cell_areas()))
 
     def prefix_integrals(self, points) -> np.ndarray:
         """Integral from the bottom break up to each point, vectorized."""
@@ -279,7 +293,7 @@ class PLF:
         if np.any(nodes[k[:-1] + 1] != nodes[k[1:]]):
             raise AssertionError("inverse pieces failed to tile the range")
         vb = np.append(nodes[k], nodes[k[-1] + 1])
-        return PLF(vb, levels[k], levels[k + 1])
+        return PLF._trusted(vb, levels[k], levels[k + 1])
 
     def padded_inverse(self, lo: float, hi: float) -> "PLF":
         """``inverse()`` extended to the value window [lo, hi].
@@ -328,7 +342,7 @@ class PLF:
         starts = np.flatnonzero(keep)
         ends = np.concatenate([starts[1:] - 1, [self.num_segments - 1]])
         nb = np.concatenate([self.breaks[starts], self.breaks[-1:]])
-        return PLF(nb, self.yl[starts], self.yr[ends])
+        return PLF._trusted(nb, self.yl[starts], self.yr[ends])
 
 
 # ----------------------------------------------------------------------
@@ -347,8 +361,10 @@ def concat_plfs(pieces: list[PLF]) -> PLF:
     for prev, nxt in zip(pieces, pieces[1:]):
         if prev.breaks[-1] != nxt.breaks[0]:
             raise ValueError("pieces do not tile the domain")
+        if not prev.yr[-1] <= nxt.yl[0]:
+            raise NotMonotone("pieces decrease across a seam")
         breaks.append(nxt.breaks[1:])
-    return PLF(
+    return PLF._trusted(
         np.concatenate(breaks),
         np.concatenate([p.yl for p in pieces]),
         np.concatenate([p.yr for p in pieces]),
@@ -366,27 +382,29 @@ def _without_empty_cells(breaks: np.ndarray, yl: np.ndarray, yr: np.ndarray) -> 
     return PLF(breaks, yl, yr)
 
 
-def common_grid(f: PLF, g: PLF) -> tuple[np.ndarray, np.ndarray | None, np.ndarray | None]:
-    """The union of both break arrays and the segment of f and of g that
-    holds each of its cells.
+def common_grid(*fns: PLF, points: list[np.ndarray] | tuple = ()) -> tuple:
+    """The union of the breaks of ``fns`` and of the ``points`` arrays,
+    and the segment of each function that holds each of its cells.
 
-    Returns ``(grid, kf, kg)`` with ``kf = searchsorted(f.breaks,
-    grid[:-1], "right") - 1`` and likewise ``kg``; equal break arrays
-    return ``(f.breaks, None, None)``.  One stable argsort of the two
-    concatenated arrays merges their sorted runs in linear time.  A value
-    in both arrays is one node, f's copy; the number of f's breaks up to
-    a node is a running count over the merge, taken at the node's last
-    position, so no node is searched for.
+    Returns ``(grid, k, ...)``, one ``k = searchsorted(f.breaks, grid[:-1],
+    "right") - 1`` per function f; equal breaks and no points return
+    ``(f.breaks, None, ...)``.  Points must lie in the common domain.  One
+    stable argsort merges the concatenated arrays, in linear time when each
+    is sorted; a value in several arrays is one node, the copy that comes
+    first (``fns`` before ``points``).  The number of f's breaks up to a
+    node is a running count over the merge, at the node's last position.
     """
-    if f.breaks[0] != g.breaks[0] or f.breaks[-1] != g.breaks[-1]:
+    if any(h.breaks[0] != fns[0].breaks[0] or h.breaks[-1] != fns[0].breaks[-1] for h in fns[1:]):
         raise ValueError("functions live on different domains")
-    if len(f.breaks) == len(g.breaks) and np.array_equal(f.breaks, g.breaks):
-        return f.breaks, None, None
-    both = np.concatenate([f.breaks, g.breaks])
+    if not points and all(len(h.breaks) == len(fns[0].breaks) and np.array_equal(h.breaks, fns[0].breaks) for h in fns[1:]):
+        return (fns[0].breaks,) + (None,) * len(fns)
+    both = np.concatenate([h.breaks for h in fns] + list(points))
     order = np.argsort(both, kind="stable")
     nodes = both[order]
     del both
-    nf = np.cumsum(order < len(f.breaks))
+    # per function: is each merged entry its own or an earlier function's
+    ends = itertools.accumulate(len(h.breaks) for h in fns)
+    upto_end = [order < e if e < len(order) else None for e in ends]
     del order
     first = np.empty(len(nodes), dtype=bool)
     first[0] = True
@@ -396,8 +414,16 @@ def common_grid(f: PLF, g: PLF) -> tuple[np.ndarray, np.ndarray | None, np.ndarr
     # the last merged position of every node below the top one
     last = np.flatnonzero(first[1:])
     del first
-    nf = nf[last]
-    return grid, nf - 1, last - nf
+    # k is a function's own merged entries up to those positions, less one
+    ks, below = [], 0
+    for mask in upto_end:
+        if mask is None:
+            ks.append(last - below)
+        else:
+            upto = np.cumsum(mask)[last]
+            ks.append(upto - (below + 1))
+            below = upto
+    return (grid, *ks)
 
 
 def on_common_grid(f: PLF, g: PLF) -> tuple[PLF, PLF]:
@@ -426,9 +452,10 @@ def _with_crossings(f: PLF, g: PLF) -> tuple[PLF, PLF]:
     if np.any(hit):
         a = F.breaks[:-1][hit]
         w = np.diff(F.breaks)[hit]
-        tau = a + w * (dl[hit] / (dl[hit] - dr[hit]))
-        grid = np.union1d(F.breaks, tau)
-        F, G = f.on_grid(grid), g.on_grid(grid)
+        # a crossing that rounds past the top break stays in the domain
+        tau = np.minimum(a + w * (dl[hit] / (dl[hit] - dr[hit])), F.breaks[-1])
+        grid, kf, kg = common_grid(f, g, points=[tau])
+        F, G = f.on_grid(grid, kf), g.on_grid(grid, kg)
     return F, G
 
 
@@ -441,16 +468,12 @@ def plf_combine(fns: list[PLF], coeffs, shift: float = 0.0) -> PLF:
     """
     if len(fns) != len(np.atleast_1d(coeffs)) or not fns:
         raise ValueError("need one coefficient per function")
-    grid = fns[0].breaks
-    for h in fns[1:]:
-        if h.breaks[0] != grid[0] or h.breaks[-1] != grid[-1]:
-            raise ValueError("functions live on different domains")
-        grid = np.union1d(grid, h.breaks)
+    grid, *ks = common_grid(*fns)
     coeffs = np.asarray(coeffs, dtype=np.float64)
     yl = np.full(len(grid) - 1, shift)
     yr = np.full(len(grid) - 1, shift)
-    for c, h in zip(coeffs, fns):
-        hh = h.on_grid(grid)
+    for c, h, k in zip(coeffs, fns, ks):
+        hh = h.on_grid(grid, k)
         yl = yl + c * hh.yl
         yr = yr + c * hh.yr
     if np.any(coeffs < 0.0):

@@ -9,8 +9,30 @@ the closed form cannot hide behind itself.
 from __future__ import annotations
 
 import numpy as np
+import pytest
 
 from wasserline import DiscreteMeasure, Domain, Measure, PLF, from_atoms
+
+
+@pytest.fixture(autouse=True, scope="session")
+def validate_trusted_plfs():
+    """Every ``PLF._trusted`` construction also runs the validating
+    constructor, and must store the same bits, read-only: the tests check
+    each site that skips validation in production."""
+    trusted = PLF._trusted.__func__
+
+    def checked(cls, breaks, yl, yr):
+        valid = PLF(breaks, yl, yr)
+        f = trusted(cls, breaks, yl, yr)
+        for got, want in ((f.breaks, valid.breaks), (f.yl, valid.yl), (f.yr, valid.yr)):
+            assert not got.flags.writeable
+            assert got.dtype == want.dtype and got.shape == want.shape
+            assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+        return f
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(PLF, "_trusted", classmethod(checked))
+        yield
 
 
 def dirac(x: float, domain: Domain = Domain.REAL_LINE) -> Measure:

@@ -1,13 +1,17 @@
 """Verbatim copies of the loop- and tuple-based kernels the array code
 replaced, of the four padded generalized inverses that
-``PLF.padded_inverse`` replaced, and of the searched common grid that the
-merge-indexed one replaced, kept as differential oracles.
+``PLF.padded_inverse`` replaced, of the searched common grid that the
+merge-indexed one replaced, and of the ``np.union1d`` grids of ``refine``,
+``plf_combine``, ``_with_crossings`` and the midpoint probe that the
+multi-way merge replaced, kept as differential oracles.
 
 The array versions in ``wasserline.plf`` and ``wasserline.measures`` must
 reproduce these bit for bit (W1 cells excepted, which are now computed
 without cancellation); ``test_array_kernels.py`` compares the two.  The
 bodies below are the old method bodies with ``self`` turned into an
-argument and nothing else changed.
+argument and nothing else changed, except that the union1d grids call
+``searched_on_grid`` (the old ``PLF.on_grid`` without ``k``) and each
+other.
 """
 
 from __future__ import annotations
@@ -15,6 +19,7 @@ from __future__ import annotations
 import numpy as np
 
 from wasserline import PLF, concat_plfs, const_plf
+from wasserline.plf import _repair_monotone, on_common_grid
 from wasserline.errors import (
     DomainMismatch,
     NonPositiveWeight,
@@ -124,6 +129,66 @@ def union_common_grid(f: PLF, g: PLF) -> np.ndarray:
 def union_on_common_grid(f: PLF, g: PLF) -> tuple[PLF, PLF]:
     grid = union_common_grid(f, g)
     return searched_on_grid(f, grid), searched_on_grid(g, grid)
+
+
+# ----------------------------------------------------------------------
+# the union1d grids of the binary operations
+
+
+def refine(self: PLF, points) -> PLF:
+    pts = np.asarray(points, dtype=np.float64).ravel()
+    if pts.size == 0:
+        return self
+    if np.any(pts < self.breaks[0]) or np.any(pts > self.breaks[-1]):
+        raise ValueError("refinement point outside the domain")
+    return searched_on_grid(self, np.union1d(self.breaks, pts))
+
+
+def with_crossings(f: PLF, g: PLF) -> tuple[PLF, PLF]:
+    F, G = on_common_grid(f, g)
+    dl = F.yl - G.yl
+    dr = F.yr - G.yr
+    hit = (dl * dr) < 0.0
+    if np.any(hit):
+        a = F.breaks[:-1][hit]
+        w = np.diff(F.breaks)[hit]
+        tau = a + w * (dl[hit] / (dl[hit] - dr[hit]))
+        grid = np.union1d(F.breaks, tau)
+        F, G = searched_on_grid(f, grid), searched_on_grid(g, grid)
+    return F, G
+
+
+def plf_combine(fns: list[PLF], coeffs, shift: float = 0.0) -> PLF:
+    if len(fns) != len(np.atleast_1d(coeffs)) or not fns:
+        raise ValueError("need one coefficient per function")
+    grid = fns[0].breaks
+    for h in fns[1:]:
+        if h.breaks[0] != grid[0] or h.breaks[-1] != grid[-1]:
+            raise ValueError("functions live on different domains")
+        grid = np.union1d(grid, h.breaks)
+    coeffs = np.asarray(coeffs, dtype=np.float64)
+    yl = np.full(len(grid) - 1, shift)
+    yr = np.full(len(grid) - 1, shift)
+    for c, h in zip(coeffs, fns):
+        hh = searched_on_grid(h, grid)
+        yl = yl + c * hh.yl
+        yr = yr + c * hh.yr
+    if np.any(coeffs < 0.0):
+        yl, yr = _repair_monotone(yl, yr)
+    return PLF(grid, yl, yr)
+
+
+def probe_grid(mu: Measure, nu: Measure, deterministic: list[Measure], h: float) -> tuple[np.ndarray, list[PLF]]:
+    """The grid lines of the old ``midpoints.midpoint_diameter_probe``."""
+    qm, qn = with_crossings(mu.quantile, nu.quantile)
+    grid = qm.breaks
+    for cand in deterministic:
+        grid = np.union1d(grid, cand.quantile.breaks)
+    grid = np.union1d(grid, [h])
+    grid = np.union1d(grid, 0.5 * (grid[:-1] + grid[1:]))
+    qm = searched_on_grid(mu.quantile, grid)
+    qn = searched_on_grid(nu.quantile, grid)
+    return grid, [qm, qn] + [searched_on_grid(c.quantile, grid) for c in deterministic]
 
 
 # ----------------------------------------------------------------------

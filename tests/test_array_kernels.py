@@ -29,14 +29,18 @@ from wasserline import (
     abs_pow_cells,
     abs_pow_gap,
     cdf_eval,
+    const_plf,
     flip,
     from_atoms,
+    plf_combine,
     sampling,
     split_embedding_apply,
     wasserstein_distance,
 )
-from wasserline.midpoints import _cdf_pair
-from wasserline.plf import _SORTED_SEARCH_MIN, common_grid, on_common_grid
+from wasserline.errors import EqualEndpoints
+from wasserline.metric import geodesic_point
+from wasserline.midpoints import _cdf_pair, _probe_grid, midpoint_diameter_probe
+from wasserline.plf import _SORTED_SEARCH_MIN, _with_crossings, common_grid, on_common_grid
 
 
 def same_bits(x, y) -> bool:
@@ -127,7 +131,7 @@ def test_on_grid_matches_the_pinned_interpolation(f, points, midpoints):
     grid = np.union1d(f.breaks, points)
     if midpoints:
         grid = np.union1d(grid, 0.5 * (grid[:-1] + grid[1:]))
-    assert same_plf(f.on_grid(grid), ref.on_grid(f, grid))
+    assert same_plf(f.on_grid(grid, ref.segment_index(f, grid[:-1], "right")), ref.on_grid(f, grid))
 
 
 @st.composite
@@ -162,6 +166,99 @@ def test_merged_grid_matches_the_searched_one(pair):
         assert same_bits(kf, _searched_indices(f, grid)) and same_bits(kg, _searched_indices(g, grid))
     for got, want in zip(on_common_grid(f, g), ref.union_on_common_grid(f, g)):
         assert same_plf(got, want)
+
+
+# ----------------------------------------------------------------------
+# the one merge of refine, plf_combine, _with_crossings and the probe grid
+
+
+def same_grid(got: np.ndarray, want: np.ndarray, *merged: np.ndarray) -> bool:
+    """Bitwise equality, except that a zero node must carry the sign of the
+    first zero in ``merged``: where the merged arrays hold both 0.0 and
+    -0.0, np.union1d kept whichever its unstable sort left first, and the
+    merge keeps the first copy in argument order."""
+    both = np.concatenate(merged)
+    zeros = both[both == 0.0]
+    z = got == 0.0
+    if zeros.size and np.any(np.signbit(got[z]) != np.signbit(zeros[0])):
+        return False
+    return same_bits(np.where(z, 0.0, got), np.where(want == 0.0, 0.0, want))
+
+
+def same_plf_on(got: PLF, want: PLF, *merged: np.ndarray) -> bool:
+    return same_grid(got.breaks, want.breaks, *merged) and same_bits(got.yl, want.yl) and same_bits(got.yr, want.yr)
+
+
+def _maybe_negative_zero_bottom(draw, f: PLF) -> PLF:
+    if draw(st.booleans()):
+        return PLF(np.concatenate([[-0.0], f.breaks[1:]]), f.yl, f.yr)
+    return f
+
+
+_POINTS = st.one_of(st.sampled_from([0.0, -0.0, 1.0, 0.125, 0.25, 0.5, 0.75]), st.floats(0.0, 1.0))
+
+
+@settings(max_examples=300, deadline=None)
+@given(plfs(), st.data())
+def test_refine_matches_the_union_grid(f, data):
+    # unsorted points with duplicates, shared breaks and both zeros
+    f = _maybe_negative_zero_bottom(data.draw, f)
+    pts = np.array(data.draw(st.lists(st.one_of(_POINTS, st.sampled_from(f.breaks.tolist())), max_size=12)), dtype=np.float64)
+    assert same_plf_on(f.refine(pts), ref.refine(f, pts), f.breaks, pts)
+    if pts.size:
+        grid, k = common_grid(f, points=[pts])
+        assert same_bits(k, _searched_indices(f, grid))
+        lo, hi = np.sort(pts)[[0, -1]]
+        with mock.patch.object(PLF, "refine", ref.refine):
+            want = [f.integral(lo, hi)] + ([f.restrict(lo, hi)] if lo < hi else [])
+        got = [f.integral(lo, hi)] + ([f.restrict(lo, hi)] if lo < hi else [])
+        assert same_bits(got[0], want[0])
+        assert all(same_plf_on(a, b, f.breaks, pts) for a, b in zip(got[1:], want[1:]))
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except NotMonotone as e:
+        return type(e)
+
+
+@settings(max_examples=300, deadline=None)
+@given(plf_pairs(), st.data())
+def test_combine_matches_the_union_grid(pair, data):
+    # one to three functions on shared, subset or free breaks; signed
+    # coefficients either blend to a monotone result or raise in both
+    fns = [*pair, data.draw(plfs())][: data.draw(st.integers(1, 3))]
+    fns = [_maybe_negative_zero_bottom(data.draw, h) for h in fns]
+    coeffs = data.draw(st.lists(st.one_of(st.sampled_from([0.0, -0.0, 0.5, 1.0, -1.0]), st.floats(-2.0, 2.0)),
+                                min_size=len(fns), max_size=len(fns)))
+    shift = data.draw(st.sampled_from([0.0, -0.0, 0.5, -3.0]))
+    got, want = _outcome(plf_combine, fns, coeffs, shift), _outcome(ref.plf_combine, fns, coeffs, shift)
+    if isinstance(want, type):
+        assert got is want
+    else:
+        assert same_plf_on(got, want, *[h.breaks for h in fns])
+    grid, *ks = common_grid(*fns)
+    if all(np.array_equal(h.breaks, fns[0].breaks) for h in fns):
+        assert grid is fns[0].breaks and ks == [None] * len(fns)
+    else:
+        assert all(same_bits(k, _searched_indices(h, grid)) for h, k in zip(fns, ks))
+
+
+@settings(max_examples=300, deadline=None)
+@given(plf_pairs(), st.data())
+def test_crossings_match_the_union_grid(pair, data):
+    f, g = pair
+    if data.draw(st.booleans()):
+        # a level at, or an ulp off, one of f's nodes: crossings on or
+        # next to a cell edge, where tau may round onto a break
+        c = data.draw(st.sampled_from(np.concatenate([f.yl, f.yr]).tolist()))
+        g = const_plf(0.0, 1.0, data.draw(st.sampled_from([c, np.nextafter(c, np.inf), np.nextafter(c, -np.inf)])))
+    for got, want in zip(_with_crossings(f, g), ref.with_crossings(f, g)):
+        assert same_plf_on(got, want, f.breaks, g.breaks)
+    F, G = ref.with_crossings(f, g)
+    assert same_plf_on(f.minimum(g), PLF(F.breaks, np.minimum(F.yl, G.yl), np.minimum(F.yr, G.yr)), f.breaks, g.breaks)
+    assert same_plf_on(f.maximum(g), PLF(F.breaks, np.maximum(F.yl, G.yl), np.maximum(F.yr, G.yr)), f.breaks, g.breaks)
 
 
 def _searched_gaps(f: PLF, g: PLF) -> list[float]:
@@ -399,7 +496,7 @@ def test_large_measures_match_the_tuple_path():
     f = PLF(np.linspace(0.0, 1.0, n + 1), nodes[0::2], nodes[1::2])
     assert same_plf(f.inverse(), ref.inverse(f))
     grid = np.union1d(f.breaks, rng.random(n // 2))
-    assert same_plf(f.on_grid(grid), ref.on_grid(f, grid))
+    assert same_plf(f.on_grid(grid, ref.segment_index(f, grid[:-1], "right")), ref.on_grid(f, grid))
     mu = from_atoms(list(zip(pos.tolist(), w.tolist())), domain=Domain.REAL_LINE)
     assert same_plf(mu.quantile.inverse(), ref.inverse(mu.quantile))
 
@@ -509,3 +606,38 @@ def test_padded_inverse_window_must_contain_the_value_range(f):
     for lo, hi in bad:
         with pytest.raises(ValueError):
             f.padded_inverse(lo, hi)
+
+
+# ----------------------------------------------------------------------
+# the probe grid of the midpoint diameter
+
+
+@settings(max_examples=100, deadline=None)
+@given(unit_measures(), unit_measures(), st.data())
+def test_probe_grid_matches_the_union_grid(mu, nu, data):
+    deterministic = [geodesic_point(mu, nu, 0.5)] + data.draw(st.lists(unit_measures(), max_size=2))
+    h = data.draw(st.one_of(st.sampled_from([0.0, -0.0, 0.5, 1.0]), st.sampled_from(mu.quantile.breaks.tolist()), st.floats(0.0, 1.0)))
+    got, want = _probe_grid(mu, nu, deterministic, h), ref.probe_grid(mu, nu, deterministic, h)
+    zero = mu.quantile.breaks[:1]
+    assert same_grid(got[0], want[0], zero)
+    assert len(got[1]) == len(want[1]) and all(same_plf_on(a, b, zero) for a, b in zip(got[1], want[1]))
+
+
+@settings(max_examples=25, deadline=None)
+@given(unit_measures(), unit_measures(), st.integers(0, 2**32 - 1))
+def test_midpoint_probe_matches_the_union_grid(mu, nu, seed):
+    def probe():
+        try:
+            return midpoint_diameter_probe(mu, nu, trials=16, seed=seed)
+        except EqualEndpoints as e:
+            return type(e)
+
+    got = probe()
+    with mock.patch("wasserline.midpoints._probe_grid", ref.probe_grid):
+        want = probe()
+    if isinstance(want, type):
+        assert got is want
+    else:
+        assert same_bits(got.lower_bound_found, want.lower_bound_found) and got.theoretical == want.theoretical
+        zero = mu.quantile.breaks[:1]
+        assert all(same_plf_on(a.quantile, b.quantile, zero) for a, b in zip(got.best_pair, want.best_pair))

@@ -105,7 +105,7 @@ def test_cdf_is_right_continuous_with_full_range():
 
 def test_quantile_level_gates():
     mu = from_atoms([(0.0, 1.0)])
-    for bad in (0.0, 1.0, -0.5, 1.5):
+    for bad in (0.0, 1.0, -0.5, 1.5, float("nan")):
         with pytest.raises(LevelOutOfRange):
             quantile_eval(mu, bad)
 

@@ -182,12 +182,33 @@ def test_min_max_envelopes_match_pointwise():
         assert hi.eval(float(y)) == pytest.approx(max(fv, gv), abs=1e-12)
 
 
+def test_trusted_construction_is_validated_in_the_tests():
+    # conftest routes PLF._trusted through the validating constructor
+    with pytest.raises(NotMonotone):
+        PLF._trusted(np.array([0.0, 1.0]), np.array([1.0]), np.array([0.0]))
+
+
+def test_maps_keep_the_construction_gates():
+    f = PLF(np.array([0.0, 1e-17, 1.0]), np.array([0.0, 1.0]), np.array([1.0, 2.0]))
+    with pytest.raises(NotMonotone):
+        f.map_levels(1.0, 1.0)  # 1 + 1e-17 rounds to 1: two breaks collapse
+    with np.errstate(over="ignore"), pytest.raises(ValueError, match="non-finite"):
+        f.map_values(1e308, 0.0)  # 2e308 overflows to inf
+
+
 def test_scalar_envelope_clips():
     f = PLF(np.array([0.0, 1.0]), np.array([-1.0]), np.array([1.0]))
     clipped = f.minimum(0.0)
     assert clipped.eval(0.25) == -0.5
     assert clipped.eval(0.75) == 0.0
     assert f.maximum(0.0).eval(0.25) == 0.0
+
+
+def test_a_crossing_rounded_past_the_top_stays_in_the_domain():
+    # the crossing of this ramp with 0 rounds to 4.4e-16, above the top break
+    f = PLF(np.array([-2.72936590562509, 2.7708884662623167e-16]), np.array([-1.0]), np.array([4.1932550412258494e-17]))
+    for g, top in ((f.minimum(0.0), 0.0), (f.maximum(0.0), f.yr[-1])):
+        assert g.support == f.support and g.eval(f.support[1]) == top
 
 
 def test_refinement_preserves_the_function():
@@ -202,6 +223,9 @@ def test_refinement_preserves_the_function():
     assert g.integral() == pytest.approx(f.integral(), abs=1e-13)
     with pytest.raises(ValueError):
         f.refine(np.array([1.5]))  # refinement points must sit inside the domain
+    for bad in (np.nan, np.inf, -np.inf):
+        with pytest.raises(ValueError, match="refinement point"):
+            f.refine(np.array([0.5, bad]))
 
 
 def test_concat_requires_monotone_seams():
@@ -211,6 +235,14 @@ def test_concat_requires_monotone_seams():
     assert glued.eval(0.25) == 0.0 and glued.eval(0.75) == 1.0
     with pytest.raises(NotMonotone):
         concat_plfs([const_plf(0.0, 0.5, 1.0), const_plf(0.5, 1.0, 0.0)])
+
+
+def test_concat_checks_its_seams_itself():
+    # raised before any PLF is built, so not by the validating constructor
+    ramp = PLF(np.array([0.5, 1.0]), np.array([0.0]), np.array([1.0]))
+    with pytest.raises(NotMonotone, match="seam"):
+        concat_plfs([const_plf(0.0, 0.5, 0.5), ramp])
+    assert concat_plfs([const_plf(0.0, 0.5, 0.0), ramp]).eval(0.75) == 0.5
 
 
 def test_splice_takes_low_then_high():
