@@ -140,10 +140,7 @@ def main(argv: list[str] | None = None) -> int:
     except (ScopeMismatch, DomainMismatch) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    except WasserlineError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except _PARSE_ERRORS as exc:
+    except (WasserlineError, *_PARSE_ERRORS) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -25,7 +25,7 @@ from .errors import (
 )
 from .measures import Domain, Measure, dist_to_dirac, from_atoms
 from .metric import check_order, wasserstein_distance
-from .plf import plf_combine
+from .plf import _power_cells, plf_combine
 
 _MAX_LADDER = 20  # 2^20 atoms is already far beyond any sane use
 
@@ -36,7 +36,7 @@ def _require_unit(mu: Measure) -> None:
 
 
 def _check_level_index(n: int) -> int:
-    if int(n) != n or n < 0:
+    if not (n >= 0 and n % 1 == 0):  # NaN and inf fail too
         raise ValueError("the ladder index n must be a nonnegative integer")
     if n > _MAX_LADDER:
         raise ValueError(f"ladder index {n} is too large")
@@ -109,7 +109,7 @@ def nearest_in_mn(mu: Measure, n: int, p: float) -> tuple[Measure, float]:
     The k-th atom only sees the quantile block [(k-1)/2^n, k/2^n), and
     the block cost a -> integral |Q - a|^p is strictly convex, so each
     position solves a scalar equation.  The derivative has a closed form
-    per cell (divided differences of |u|^p / p), and bisection on it
+    per cell (the integral of sign(u)|u|^(p-1)), and bisection on it
     converges deterministically; all blocks run in lockstep.
     """
     _require_unit(mu)
@@ -131,16 +131,7 @@ def nearest_in_mn(mu: Measure, n: int, p: float) -> tuple[Measure, float]:
 
     def derivative(a_blocks: np.ndarray) -> np.ndarray:
         a = a_blocks[cell_block]
-        A = q.yl - a
-        B = q.yr - a
-        d = B - A
-        steep = np.abs(d) > 1e-9 * np.maximum(np.abs(A), np.abs(B))
-        safe = np.where(steep, d, 1.0)
-        prim = lambda u: np.abs(u) ** p / p
-        divided = (prim(B) - prim(A)) / safe
-        mid = (A + B) * 0.5
-        flat = np.sign(mid) * np.abs(mid) ** (p - 1.0)
-        per_cell = -w * np.where(steep, divided, flat)
+        per_cell = -_power_cells(w, q.yl - a, q.yr - a, p - 1.0, True)
         return np.bincount(cell_block, weights=per_cell, minlength=blocks)
 
     for _ in range(120):
@@ -186,7 +177,7 @@ def convex_hull_combination(items) -> Measure:
     pairs = [(mu, float(w)) for mu, w in items]
     if not pairs:
         raise WeightError("empty combination")
-    if any(w < 0.0 for _, w in pairs):
+    if not all(w >= 0.0 for _, w in pairs):  # NaN fails too
         raise WeightError("combination weights must be nonnegative")
     total = sum(w for _, w in pairs)
     if abs(total - 1.0) > 1e-9:

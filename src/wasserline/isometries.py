@@ -336,7 +336,7 @@ def h_q_eval(x, q: float):
     """The interval automorphism h_q(x) = x e^{2q} / (1 + (e^{2q}-1) x)."""
     q = _check_q(q)
     arr = np.asarray(x, dtype=np.float64)
-    if np.any(arr <= 0.0) or np.any(arr >= 1.0):
+    if not np.all((arr > 0.0) & (arr < 1.0)):  # NaN fails too
         raise LevelOutOfRange("h_q acts on the open interval (0, 1)")
     out = _h(arr, q)
     return out if arr.ndim else float(out)
@@ -397,7 +397,7 @@ def exotic_apply_grid(mu: Measure, q: float, grid_size: int) -> list[tuple[float
     q = _check_q(q)
     if mu.domain is not Domain.REAL_LINE:
         raise ScopeMismatch("the exotic flow acts on real-line measures")
-    if int(grid_size) != grid_size or grid_size < 2:
+    if not (grid_size >= 2 and grid_size % 1 == 0):  # NaN and inf fail too
         raise ValueError("grid_size must be an integer >= 2")
     grid_size = int(grid_size)
     x = (np.arange(grid_size) + 0.5) / grid_size

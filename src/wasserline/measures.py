@@ -377,7 +377,7 @@ def cdf_from_dirac_distances(mu: Measure, t: float, h: float) -> float:
     h = float(h)
     if not (0.0 <= t < 1.0):
         raise PositionOutOfRange("the base point must lie in [0, 1)")
-    if h <= 0.0 or t + h > 1.0:
+    if not (h > 0.0 and t + h <= 1.0):  # NaN fails too
         raise StepOutOfRange("need h > 0 with t + h <= 1")
     g = (dist_to_dirac(mu, t + h) - dist_to_dirac(mu, t)) / h
     return (g + 1.0) / 2.0

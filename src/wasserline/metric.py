@@ -18,7 +18,7 @@ import numpy as np
 
 from .errors import DomainMismatch, InvalidP, NotMonotone
 from .measures import DiscreteMeasure, Measure
-from .plf import abs_pow_gap, on_common_grid, plf_combine
+from .plf import _nodes, abs_pow_gap, on_common_grid, plf_combine
 
 
 def check_order(p) -> float:
@@ -82,20 +82,19 @@ class MonotoneRange:
     hi: float | None
 
     def contains(self, s: float) -> bool:
-        if self.lo is not None and s < self.lo:
-            return False
-        if self.hi is not None and s > self.hi:
-            return False
-        return True
+        lo = -np.inf if self.lo is None else self.lo
+        hi = np.inf if self.hi is None else self.hi
+        return lo <= s <= hi  # NaN is in no range
 
 
 def monotone_range(mu: Measure, nu: Measure) -> MonotoneRange:
     if mu.domain is not nu.domain:
         raise DomainMismatch("geodesics need a common domain")
     f, g = on_common_grid(mu.quantile, nu.quantile)
-    # slopes and jumps both must stay nonnegative along the blend
-    a = np.concatenate([f.yr - f.yl, f.yl[1:] - f.yr[:-1]])
-    b = np.concatenate([g.yr - g.yl, g.yl[1:] - g.yr[:-1]])
+    # slopes and jumps, the steps between level-ordered nodes, both must
+    # stay nonnegative along the blend
+    a = np.diff(_nodes(f.yl, f.yr))
+    b = np.diff(_nodes(g.yl, g.yr))
     grow = b > a
     shrink = b < a
     lo = None
@@ -114,8 +113,6 @@ def geodesic_point(mu: Measure, nu: Measure, s: float) -> Measure:
     geodesic among many for p = 1); outside [0, 1] it extends exactly as
     long as the blend stays monotone.
     """
-    if mu.domain is not nu.domain:
-        raise DomainMismatch("geodesics need a common domain")
     s = float(s)
     if not monotone_range(mu, nu).contains(s):
         raise NotMonotone(f"s={s!r} leaves the monotone parameter range")

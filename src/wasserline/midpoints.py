@@ -26,7 +26,8 @@ import numpy as np
 from .errors import DomainMismatch, EqualEndpoints, NotBisectable
 from .measures import Domain, Measure
 from .metric import geodesic_point, wasserstein_distance
-from .plf import PLF, _with_crossings, abs_pow_cells, common_grid, on_common_grid, plf_splice
+from .plf import PLF, _envelope, _nodes, _with_crossings, _without_empty_cells, abs_pow_cells
+from .plf import common_grid, on_common_grid, plf_splice
 
 
 @dataclass(frozen=True)
@@ -118,25 +119,26 @@ def _half_area_point(f: PLF, g: PLF) -> float:
 # the geometry record
 
 
-def _require_pair(mu: Measure, nu: Measure) -> None:
+def _pair_distance(mu: Measure, nu: Measure) -> float:
+    """d_1 of two distinct measures on one domain."""
     if mu.domain is not nu.domain:
         raise DomainMismatch("midpoint geometry needs one common domain")
     if mu == nu:
         raise EqualEndpoints("midpoint geometry needs two distinct measures")
-
-
-def midpoint_geometry(mu: Measure, nu: Measure) -> MidpointGeometry:
-    _require_pair(mu, nu)
     D = wasserstein_distance(mu, nu, 1.0)
     if D == 0.0:
         raise EqualEndpoints("measures coincide")
+    return D
+
+
+def midpoint_geometry(mu: Measure, nu: Measure) -> MidpointGeometry:
+    D = _pair_distance(mu, nu)
     fm, fn = _cdf_pair(mu, nu)
     v = _half_area_point(fm, fn)
     h = _half_area_point(mu.quantile, nu.quantile)
 
-    qm, qn = _with_crossings(mu.quantile, nu.quantile)
-    q_lo = PLF._trusted(qm.breaks, np.minimum(qm.yl, qn.yl), np.minimum(qm.yr, qn.yr))
-    q_hi = PLF._trusted(qm.breaks, np.maximum(qm.yl, qn.yl), np.maximum(qm.yr, qn.yr))
+    pair = _with_crossings(mu.quantile, nu.quantile)
+    q_lo, q_hi = _envelope(*pair, np.minimum), _envelope(*pair, np.maximum)
     lo_v = q_lo.minimum(v)
     hi_v = q_hi.minimum(v)
     lo_cap = q_lo.maximum(v)
@@ -236,13 +238,6 @@ def is_adjacent(mu: Measure, nu: Measure) -> AdjacencyWitness | None:
 # midpoint-set diameter probe
 
 
-def _flatten_nodes(f: PLF) -> np.ndarray:
-    out = np.empty(2 * f.num_segments)
-    out[0::2] = f.yl
-    out[1::2] = f.yr
-    return out
-
-
 def _probe_grid(mu: Measure, nu: Measure, deterministic: list[Measure], h: float) -> tuple[np.ndarray, list[PLF]]:
     """Breaks of mu, nu, their crossings, the candidates, h and cell midpoints; the quantiles on it."""
     quantiles = [mu.quantile, nu.quantile] + [c.quantile for c in deterministic]
@@ -266,10 +261,7 @@ def midpoint_diameter_probe(
     glue constructions, so for adjacent pairs the known extremal pair is
     always in the pool.
     """
-    _require_pair(mu, nu)
-    D = wasserstein_distance(mu, nu, 1.0)
-    if D == 0.0:
-        raise EqualEndpoints("measures coincide")
+    D = _pair_distance(mu, nu)
     h = _half_area_point(mu.quantile, nu.quantile)
     v = _half_area_point(*_cdf_pair(mu, nu))
 
@@ -285,18 +277,17 @@ def midpoint_diameter_probe(
 
     grid, (qm, qn, *cands) = _probe_grid(mu, nu, deterministic, h)
     w = np.diff(grid)
-    e_lo = np.minimum(_flatten_nodes(qm), _flatten_nodes(qn))
-    e_hi = np.maximum(_flatten_nodes(qm), _flatten_nodes(qn))
+    m_nodes, n_nodes = _nodes(qm.yl, qm.yr), _nodes(qn.yl, qn.yr)
+    e_lo = np.minimum(m_nodes, n_nodes)
+    e_hi = np.maximum(m_nodes, n_nodes)
 
     rng = np.random.default_rng(np.random.SeedSequence([int(seed) % 2**63, 0x6D6964]))
     u = rng.random((int(trials), len(e_lo)))
     nodes = e_lo + u * (e_hi - e_lo)
     np.maximum.accumulate(nodes, axis=1, out=nodes)
-    det_rows = [_flatten_nodes(c) for c in cands]
+    det_rows = [_nodes(c.yl, c.yr) for c in cands]
     nodes = np.vstack([nodes] + det_rows)
 
-    m_nodes = _flatten_nodes(qm)
-    n_nodes = _flatten_nodes(qn)
     dist_mu = abs_pow_cells(w, nodes[:, 0::2] - m_nodes[0::2], nodes[:, 1::2] - m_nodes[1::2], 1.0).sum(axis=1)
     target = 0.5 * D
     toward_nu = dist_mu < target
@@ -396,17 +387,6 @@ def _patched(arr: np.ndarray, k: int, value: float) -> np.ndarray:
 
 
 def _with_junction_level(q: PLF, k: int, level: float) -> PLF:
-    breaks = q.breaks.copy()
-    yl = q.yl.copy()
-    yr = q.yr.copy()
-    breaks[k + 1] = level
-    drop = []
-    if breaks[k + 1] == breaks[k]:
-        drop.append(k)
-    if breaks[k + 1] == breaks[k + 2]:
-        drop.append(k + 1)
-    if drop:
-        yl = np.delete(yl, drop)
-        yr = np.delete(yr, drop)
-        breaks = np.delete(breaks, [d + 1 for d in drop])
-    return PLF(breaks, yl, yr)
+    # a shift by a whole cell's width can round past the neighbouring break
+    level = min(max(level, q.breaks[k]), q.breaks[k + 2])
+    return _without_empty_cells(_patched(q.breaks, k + 1, level), q.yl, q.yr)

@@ -25,6 +25,12 @@ their segment), ``restrict``/``canonical`` (parts of a valid function),
 extremes of monotone nodes) and ``concat_plfs`` (after its seam checks).
 ``plf_combine`` (a signed blend may decrease), ``map_values`` and
 ``map_levels`` (rounding collapses breaks, overflow reaches inf) validate.
+
+Each numeric idea has one private home: ``_nodes`` (the values in level
+order), ``_envelope`` (min or max of a pair from ``_with_crossings``),
+``_without_empty_cells`` (the zero-width cell drop) and ``_power_cells``
+(cells of |affine|^r or sign(affine)|affine|^r, for the distances and
+the M_n projection alike).
 """
 
 from __future__ import annotations
@@ -228,12 +234,10 @@ class PLF:
     # min / max / clip
 
     def minimum(self, other) -> "PLF":
-        f, g = _with_crossings(self, _coerce(other, self))
-        return PLF._trusted(f.breaks, np.minimum(f.yl, g.yl), np.minimum(f.yr, g.yr))
+        return _envelope(*_with_crossings(self, _coerce(other, self)), np.minimum)
 
     def maximum(self, other) -> "PLF":
-        f, g = _with_crossings(self, _coerce(other, self))
-        return PLF._trusted(f.breaks, np.maximum(f.yl, g.yl), np.maximum(f.yr, g.yr))
+        return _envelope(*_with_crossings(self, _coerce(other, self)), np.maximum)
 
     # ------------------------------------------------------------------
     # integrals
@@ -285,9 +289,7 @@ class PLF:
         """
         if self.yl[0] == self.yr[-1]:
             raise ValueError("a constant function has a degenerate inverse")
-        nodes = np.empty(2 * self.num_segments)
-        nodes[0::2] = self.yl
-        nodes[1::2] = self.yr
+        nodes = _nodes(self.yl, self.yr)
         levels = np.repeat(self.breaks, 2)[1:-1]
         k = np.flatnonzero(nodes[1:] != nodes[:-1])
         if np.any(nodes[k[:-1] + 1] != nodes[k[1:]]):
@@ -459,6 +461,11 @@ def _with_crossings(f: PLF, g: PLF) -> tuple[PLF, PLF]:
     return F, G
 
 
+def _envelope(F: PLF, G: PLF, extreme) -> PLF:
+    """``np.minimum`` or ``np.maximum`` of a pair from ``_with_crossings``."""
+    return PLF._trusted(F.breaks, extreme(F.yl, G.yl), extreme(F.yr, G.yr))
+
+
 def plf_combine(fns: list[PLF], coeffs, shift: float = 0.0) -> PLF:
     """sum_i coeffs[i] * fns[i] + shift on the common grid.
 
@@ -481,10 +488,16 @@ def plf_combine(fns: list[PLF], coeffs, shift: float = 0.0) -> PLF:
     return PLF(grid, yl, yr)
 
 
-def _repair_monotone(yl: np.ndarray, yr: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _nodes(yl: np.ndarray, yr: np.ndarray) -> np.ndarray:
+    """The value nodes in level order: ``yl[0], yr[0], yl[1], ...``."""
     nodes = np.empty(2 * len(yl))
     nodes[0::2] = yl
     nodes[1::2] = yr
+    return nodes
+
+
+def _repair_monotone(yl: np.ndarray, yr: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    nodes = _nodes(yl, yr)
     fixed = np.maximum.accumulate(nodes)
     slack = float(np.max(fixed - nodes))
     if slack > 1e-9 * max(1.0, float(np.max(np.abs(nodes)))):
@@ -517,8 +530,26 @@ def plf_splice(low: PLF, high: PLF, t: float) -> PLF:
 # exact cells of |affine|^p
 
 
-def _signed_pow_primitive(u: np.ndarray, p: float) -> np.ndarray:
-    return np.sign(u) * np.abs(u) ** (p + 1.0) / (p + 1.0)
+def _power_cells(w: np.ndarray, a: np.ndarray, b: np.ndarray, r: float, signed: bool) -> np.ndarray:
+    """Per cell the integral of |l|^r, or of sign(l)|l|^r when ``signed``,
+    for l affine from a to b over width w: the divided difference of the
+    power primitive on steep cells only; where |b-a| <= 1e-9*max(|a|,|b|)
+    it would cancel catastrophically, and the midpoint value of the
+    integrand (exact in the limit) takes over."""
+    def power(u: np.ndarray, e: float, odd: bool) -> np.ndarray:  # |u|^e, or sign(u)|u|^e
+        m = np.abs(u) ** e
+        return np.sign(u) * m if odd else m
+
+    d = b - a
+    if a.shape != d.shape or b.shape != d.shape:  # the masks below need full arrays
+        a, b = np.broadcast_to(a, d.shape), np.broadcast_to(b, d.shape)
+    steep = np.abs(d) > 1e-9 * np.maximum(np.abs(a), np.abs(b))
+    flat = ~steep
+    out = np.empty(d.shape)
+    e = r + 1.0
+    out[steep] = (power(b[steep], e, not signed) / e - power(a[steep], e, not signed) / e) / d[steep]
+    out[flat] = power((a[flat] + b[flat]) * 0.5, r, signed)
+    return w * out
 
 
 def abs_pow_cells(w, a, b, p: float) -> np.ndarray:
@@ -527,11 +558,7 @@ def abs_pow_cells(w, a, b, p: float) -> np.ndarray:
 
     For p = 1 the cells are the trapezoid 0.5*w*(|a|+|b|) when a and b
     share a sign and w*(a^2+b^2)/(2(|a|+|b|)) when l crosses zero; both
-    are free of cancellation.  Other orders use the closed-form divided
-    difference of the signed power primitive on steep cells only; where
-    |b-a| <= 1e-9*max(|a|,|b|) that difference would cancel
-    catastrophically, and the midpoint value (exact in the limit) takes
-    over.  Each branch is evaluated only on the cells it serves.
+    are free of cancellation.  Other orders are ``_power_cells``.
     """
     w = np.asarray(w, dtype=np.float64)
     a = np.asarray(a, dtype=np.float64)
@@ -543,15 +570,7 @@ def abs_pow_cells(w, a, b, p: float) -> np.ndarray:
         straight = 0.5 * w * s
         bent = w * (a * a + b * b) / (2.0 * denom)
         return np.where(cross, bent, straight)
-    d = b - a
-    if a.shape != d.shape or b.shape != d.shape:  # the masks below need full arrays
-        a, b = np.broadcast_to(a, d.shape), np.broadcast_to(b, d.shape)
-    steep = np.abs(d) > 1e-9 * np.maximum(np.abs(a), np.abs(b))
-    flat = ~steep
-    out = np.empty(d.shape)
-    out[steep] = (_signed_pow_primitive(b[steep], p) - _signed_pow_primitive(a[steep], p)) / d[steep]
-    out[flat] = np.abs((a[flat] + b[flat]) * 0.5) ** p
-    return w * out
+    return _power_cells(w, a, b, p, False)
 
 
 def abs_pow_gap(f: PLF, g: PLF, p: float, lo: float | None = None, hi: float | None = None) -> float:

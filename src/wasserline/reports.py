@@ -9,7 +9,6 @@ and exact rows (tolerance zero) pass only at error zero.
 
 from __future__ import annotations
 
-import hashlib
 import io
 from dataclasses import dataclass, field
 
@@ -69,10 +68,6 @@ def exact_row(claim_id, trial, quantity, ok: bool) -> ReportRow:
                      0.0 if ok else 1.0, bool(ok), 0.0)
 
 
-def digest(text: str) -> str:
-    return hashlib.sha1(text.encode()).hexdigest()[:10]
-
-
 def rows_to_csv(rows: list[ReportRow]) -> str:
     buf = io.StringIO()
     buf.write("claim_id,trial,quantity,expected,measured,abs_err,passed\n")
@@ -86,7 +81,9 @@ def rows_to_csv(rows: list[ReportRow]) -> str:
 
 def summarize(claim_id: str, rows: list[ReportRow], trials: int | None = None,
               detail_cap: int = 50) -> VerificationReport:
-    """Aggregate rows into one report with tolerance-normalized violation."""
+    """Aggregate rows into one report with tolerance-normalized violation;
+    ``details`` keeps up to ``detail_cap`` rows, failing ones first, each
+    group by decreasing abs_err."""
     worst = 0.0
     for r in rows:
         if r.tolerance > 0.0:
@@ -94,15 +91,11 @@ def summarize(claim_id: str, rows: list[ReportRow], trials: int | None = None,
         else:
             ratio = 0.0 if r.abs_err == 0.0 else float("inf")
         worst = max(worst, ratio)
-    ranked = sorted(rows, key=lambda r: (r.passed, -r.abs_err))[:detail_cap]
-    details = tuple(
-        (digest(f"{r.claim_id}|{r.trial}|{r.quantity}"), r.measured) for r in ranked
-    )
     return VerificationReport(
         claim_id=claim_id,
         trials=len(rows) if trials is None else trials,
         max_violation=worst,
         tolerance=1.0,
         passed=all(r.passed for r in rows),
-        details=details,
+        details=tuple(sorted(rows, key=lambda r: (r.passed, -r.abs_err))[:detail_cap]),
     )

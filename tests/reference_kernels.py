@@ -3,7 +3,11 @@ replaced, of the four padded generalized inverses that
 ``PLF.padded_inverse`` replaced, of the searched common grid that the
 merge-indexed one replaced, and of the ``np.union1d`` grids of ``refine``,
 ``plf_combine``, ``_with_crossings`` and the midpoint probe that the
-multi-way merge replaced, kept as differential oracles.
+multi-way merge replaced, kept as differential oracles.  The last section
+keeps the bodies that the one-home helpers of ``wasserline.plf`` replaced:
+the M_n projection with its own power cells, the geodesic range with its
+own node layout, the junction shift with its own empty-cell drop and the
+midpoint geometry with its own envelopes.
 
 The array versions in ``wasserline.plf`` and ``wasserline.measures`` must
 reproduce these bit for bit (W1 cells excepted, which are now computed
@@ -19,15 +23,20 @@ from __future__ import annotations
 import numpy as np
 
 from wasserline import PLF, concat_plfs, const_plf
-from wasserline.plf import _repair_monotone, on_common_grid
+from wasserline.plf import _repair_monotone, _with_crossings, on_common_grid
 from wasserline.errors import (
     DomainMismatch,
+    EqualEndpoints,
+    InvalidP,
     NonPositiveWeight,
     PositionOutOfRange,
     ScopeMismatch,
     WeightSumOutOfTolerance,
 )
 from wasserline.measures import WEIGHT_TOL, Domain, Measure
+from wasserline.metric import MonotoneRange, check_order, wasserstein_distance
+from wasserline.interval import _check_level_index, _require_unit, mn_element
+from wasserline.midpoints import MidpointGeometry, _cdf_pair, _half_area_point
 
 
 # ----------------------------------------------------------------------
@@ -368,3 +377,122 @@ def middle_band(emb) -> PLF:
     if hi < _TWO_THIRDS:
         pieces.append(const_plf(hi, _TWO_THIRDS, 1.0))
     return concat_plfs(pieces)
+
+
+# ----------------------------------------------------------------------
+# the one-home helpers (interval.py, metric.py, midpoints.py)
+
+
+def nearest_in_mn(mu: Measure, n: int, p: float) -> tuple[Measure, float]:
+    _require_unit(mu)
+    p = check_order(p)
+    if p <= 1.0:
+        raise InvalidP("uniqueness of the projection needs p > 1")
+    n = _check_level_index(n)
+    blocks = 2**n
+    edges = np.arange(blocks + 1) / float(blocks)
+    q = mu.quantile.refine(edges)
+    w = np.diff(q.breaks)
+    # map each refined cell to its block
+    cell_block = np.searchsorted(edges, q.breaks[:-1], side="right") - 1
+    cell_block = np.clip(cell_block, 0, blocks - 1)
+    first = np.searchsorted(cell_block, np.arange(blocks), side="left")
+    last = np.searchsorted(cell_block, np.arange(blocks), side="right") - 1
+    lo = q.yl[first].astype(np.float64).copy()
+    hi = q.yr[last].astype(np.float64).copy()
+
+    def derivative(a_blocks: np.ndarray) -> np.ndarray:
+        a = a_blocks[cell_block]
+        A = q.yl - a
+        B = q.yr - a
+        d = B - A
+        steep = np.abs(d) > 1e-9 * np.maximum(np.abs(A), np.abs(B))
+        safe = np.where(steep, d, 1.0)
+        prim = lambda u: np.abs(u) ** p / p
+        divided = (prim(B) - prim(A)) / safe
+        mid = (A + B) * 0.5
+        flat = np.sign(mid) * np.abs(mid) ** (p - 1.0)
+        per_cell = -w * np.where(steep, divided, flat)
+        return np.bincount(cell_block, weights=per_cell, minlength=blocks)
+
+    for _ in range(120):
+        a = (lo + hi) * 0.5
+        g = derivative(a)
+        below = g < 0.0
+        lo = np.where(below, a, lo)
+        hi = np.where(below, hi, a)
+        if np.all(hi - lo <= 1e-14):
+            break
+    a = (lo + hi) * 0.5
+    a = np.maximum.accumulate(np.clip(a, 0.0, 1.0))
+    best = mn_element(a)
+    return best, wasserstein_distance(mu, best, p)
+
+
+def monotone_range(mu: Measure, nu: Measure) -> MonotoneRange:
+    if mu.domain is not nu.domain:
+        raise DomainMismatch("geodesics need a common domain")
+    f, g = on_common_grid(mu.quantile, nu.quantile)
+    # slopes and jumps both must stay nonnegative along the blend
+    a = np.concatenate([f.yr - f.yl, f.yl[1:] - f.yr[:-1]])
+    b = np.concatenate([g.yr - g.yl, g.yl[1:] - g.yr[:-1]])
+    grow = b > a
+    shrink = b < a
+    lo = None
+    hi = None
+    if np.any(grow):
+        lo = float(np.max(-a[grow] / (b[grow] - a[grow])))
+    if np.any(shrink):
+        hi = float(np.min(a[shrink] / (a[shrink] - b[shrink])))
+    return MonotoneRange(lo, hi)
+
+
+def with_junction_level(q: PLF, k: int, level: float) -> PLF:
+    breaks = q.breaks.copy()
+    yl = q.yl.copy()
+    yr = q.yr.copy()
+    breaks[k + 1] = level
+    drop = []
+    if breaks[k + 1] == breaks[k]:
+        drop.append(k)
+    if breaks[k + 1] == breaks[k + 2]:
+        drop.append(k + 1)
+    if drop:
+        yl = np.delete(yl, drop)
+        yr = np.delete(yr, drop)
+        breaks = np.delete(breaks, [d + 1 for d in drop])
+    return PLF(breaks, yl, yr)
+
+
+def _require_pair(mu: Measure, nu: Measure) -> None:
+    if mu.domain is not nu.domain:
+        raise DomainMismatch("midpoint geometry needs one common domain")
+    if mu == nu:
+        raise EqualEndpoints("midpoint geometry needs two distinct measures")
+
+
+def midpoint_geometry(mu: Measure, nu: Measure) -> MidpointGeometry:
+    _require_pair(mu, nu)
+    D = wasserstein_distance(mu, nu, 1.0)
+    if D == 0.0:
+        raise EqualEndpoints("measures coincide")
+    fm, fn = _cdf_pair(mu, nu)
+    v = _half_area_point(fm, fn)
+    h = _half_area_point(mu.quantile, nu.quantile)
+
+    qm, qn = _with_crossings(mu.quantile, nu.quantile)
+    q_lo = PLF._trusted(qm.breaks, np.minimum(qm.yl, qn.yl), np.minimum(qm.yr, qn.yr))
+    q_hi = PLF._trusted(qm.breaks, np.maximum(qm.yl, qn.yl), np.maximum(qm.yr, qn.yr))
+    lo_v = q_lo.minimum(v)
+    hi_v = q_hi.minimum(v)
+    lo_cap = q_lo.maximum(v)
+    hi_cap = q_hi.maximum(v)
+    a1 = hi_v.integral(0.0, h) - lo_v.integral(0.0, h)
+    a2 = hi_cap.integral(0.0, h) - lo_cap.integral(0.0, h)
+    a3 = hi_cap.integral(h, 1.0) - lo_cap.integral(h, 1.0)
+    a4 = hi_v.integral(h, 1.0) - lo_v.integral(h, 1.0)
+
+    margin_keep = min(h - fm.eval(v), fn.left_limit(v) - h)
+    margin_swap = min(h - fn.eval(v), fm.left_limit(v) - h)
+    swapped = margin_swap > margin_keep
+    return MidpointGeometry(D, v, h, (a1, a2, a3, a4), swapped)

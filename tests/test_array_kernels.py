@@ -1,11 +1,14 @@
 """The array kernels against their loop- and tuple-based predecessors,
 ``PLF.padded_inverse`` against the four copies it replaced, and the
 merge-indexed common grid and sorted-key segment search against the
-searched grid they replaced.
+searched grid they replaced, and the users of the one-home helpers of
+``wasserline.plf`` against the bodies those replaced.
 
 ``reference_kernels`` keeps the replaced code verbatim; every output here
 must match it bit for bit (signs of zeros included), except W1 cells,
-which are checked against mpmath at 50 digits instead.
+which are checked against mpmath at 50 digits instead, and the named
+differences of the merged grid, the geodesic range and the Dirac
+certificate.
 """
 
 from __future__ import annotations
@@ -15,7 +18,7 @@ from unittest import mock
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import reference_kernels as ref
@@ -26,12 +29,17 @@ from wasserline import (
     Measure,
     NotMonotone,
     SplitEmbedding,
+    WasserlineError,
     abs_pow_cells,
     abs_pow_gap,
     cdf_eval,
     const_plf,
+    dirac_certificate,
     flip,
     from_atoms,
+    midpoint_geometry,
+    monotone_range,
+    nearest_in_mn,
     plf_combine,
     sampling,
     split_embedding_apply,
@@ -39,7 +47,14 @@ from wasserline import (
 )
 from wasserline.errors import EqualEndpoints
 from wasserline.metric import geodesic_point
-from wasserline.midpoints import _cdf_pair, _probe_grid, midpoint_diameter_probe
+from wasserline.midpoints import (
+    _cdf_pair,
+    _probe_grid,
+    bisecting_horizontal,
+    bisecting_vertical,
+    is_adjacent,
+    midpoint_diameter_probe,
+)
 from wasserline.plf import _SORTED_SEARCH_MIN, _with_crossings, common_grid, on_common_grid
 
 
@@ -217,9 +232,10 @@ def test_refine_matches_the_union_grid(f, data):
 
 
 def _outcome(fn, *args):
+    """The result, or the type of the library error it raised."""
     try:
         return fn(*args)
-    except NotMonotone as e:
+    except WasserlineError as e:
         return type(e)
 
 
@@ -641,3 +657,102 @@ def test_midpoint_probe_matches_the_union_grid(mu, nu, seed):
         assert same_bits(got.lower_bound_found, want.lower_bound_found) and got.theoretical == want.theoretical
         zero = mu.quantile.breaks[:1]
         assert all(same_plf_on(a.quantile, b.quantile, zero) for a, b in zip(got.best_pair, want.best_pair))
+
+
+# ----------------------------------------------------------------------
+# the one-home helpers: power cells, node layout, envelopes, empty cells
+
+
+@pytest.mark.parametrize("p", [1.1, 1.5, 2.0, 3.0, 4.0])
+@settings(max_examples=30, deadline=None)
+@given(unit_measures(), st.integers(0, 3))
+def test_projection_matches_its_own_power_cells(p, mu, n):
+    (got, d_got), (want, d_want) = nearest_in_mn(mu, n, p), ref.nearest_in_mn(mu, n, p)
+    assert same_measure(got, want) and same_bits(d_got, d_want)
+
+
+def _same_bound(x: float | None, y: float | None) -> bool:
+    """Bitwise equality, except that a zero bound may carry either sign: a
+    bound is the max or min over the slopes and jumps, where a zero step
+    of one sign and one of the other both give a zero candidate, and the
+    reduction keeps whichever zero its order meets first; the old code
+    listed slopes before jumps, the new one walks the nodes in level
+    order."""
+    if x is None or y is None:
+        return x is None and y is None
+    return same_bits(x, y) or x == y == 0.0
+
+
+# g grows where f has its jump of -0.0 (first junction) and its slope of
+# 0.0 (last cell): the old lower bound was 0.0, the new one is -0.0
+_SIGNED_ZERO_STEPS = [
+    Measure(Domain.REAL_LINE, PLF(np.array([0.0, 0.25, 0.5, 1.0]), np.array([0.0, -0.0, 1.0]), np.array([0.0, 1.0, 1.0]))),
+    Measure(Domain.REAL_LINE, PLF(np.array([0.0, 0.25, 0.5, 1.0]), np.array([0.0, 1.0, 1.0]), np.array([0.0, 1.0, 2.0]))),
+]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(plf_pairs().map(lambda fg: [Measure(Domain.REAL_LINE, h) for h in fg]),
+                 st.tuples(st.one_of(real_measures(), unit_measures()), st.one_of(real_measures(), unit_measures()))))
+@example(_SIGNED_ZERO_STEPS)
+def test_geodesic_range_matches_its_own_node_layout(pair):
+    got, want = _outcome(monotone_range, *pair), _outcome(ref.monotone_range, *pair)
+    if isinstance(want, type):
+        assert got is want
+    else:
+        assert _same_bound(got.lo, want.lo) and _same_bound(got.hi, want.hi)
+
+
+def _gap_eta(t: list[float], A: float, B: float) -> tuple[Measure, float]:
+    """A quantile that rises into an atom at A on [t0, t1), jumps to an atom
+    at B on [t1, t2) and rises on, so that only the horizontal certificate
+    applies, and the largest distance it certifies: the shift d reaches
+    the lighter atom's weight and the new junction level lands on a
+    neighbouring break (on both when the weights are equal)."""
+    breaks = np.array([0.0, *t, 1.0])
+    eta = Measure(Domain.REAL_LINE, PLF(breaks, np.array([A - 1.0, A, B, B]), np.array([A, A, B, B + 1.0])))
+    return eta, 2.0 * (B - A) * min(float(breaks[2] - breaks[1]), float(breaks[3] - breaks[2]))
+
+
+@st.composite
+def gap_etas(draw) -> tuple[Measure, float]:
+    t = draw(st.one_of(
+        st.sampled_from([[0.25, 0.5, 0.75], [0.125, 0.5, 0.875], [0.25, 0.375, 0.5]]),
+        st.lists(st.floats(0.01, 0.99), min_size=3, max_size=3, unique=True).map(sorted),
+    ))
+    A = draw(st.one_of(st.sampled_from([-1.0, 0.0, 0.5]), st.floats(-2.0, 2.0)))
+    eta, n = _gap_eta(t, A, A + draw(st.one_of(st.sampled_from([0.25, 1.0]), st.floats(1e-3, 3.0))))
+    return eta, draw(st.sampled_from([n, np.nextafter(n, 0.0), 0.5 * n]))
+
+
+@settings(max_examples=300, deadline=None)
+@given(gap_etas())
+@example(_gap_eta([0.1, 0.5, 0.95], 0.0, 1.0))  # 0.5 - fl(0.5 - 0.1) < 0.1
+def test_dirac_certificate_matches_its_own_empty_cell_drop(case):
+    eta, n = case
+    got = _outcome(dirac_certificate, eta, n)
+    with mock.patch("wasserline.midpoints._with_junction_level", ref.with_junction_level):
+        want = _outcome(dirac_certificate, eta, n)
+    if want is NotMonotone:
+        # the old shift rounded one ulp past the neighbouring break (c - fl(c
+        # - t) < t) and broke monotonicity; the shift is now pinned to it
+        lo, hi = got
+        assert is_adjacent(lo, hi) is not None
+        assert wasserstein_distance(lo, hi, 1.0) == pytest.approx(n, abs=1e-12)
+        bisectors = (bisecting_vertical(lo, hi), bisecting_horizontal(lo, hi))
+        assert min(wasserstein_distance(eta, xi, 1.0) for xi in bisectors) <= 1e-12
+    elif want is None:
+        assert got is None
+    else:
+        assert all(same_measure(a, b) for a, b in zip(got, want))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.one_of(st.tuples(unit_measures(), unit_measures()), st.tuples(real_measures(), real_measures())))
+def test_midpoint_geometry_matches_its_own_envelopes(pair):
+    got, want = _outcome(midpoint_geometry, *pair), _outcome(ref.midpoint_geometry, *pair)
+    if isinstance(want, type):
+        assert got is want
+    else:
+        assert same_bits([got.D, got.v, got.h, *got.alphas], [want.D, want.v, want.h, *want.alphas])
+        assert got.swapped == want.swapped

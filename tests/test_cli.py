@@ -22,6 +22,7 @@ from wasserline import (
     wasserstein_distance,
 )
 from wasserline.cli import main
+from wasserline.reports import row, summarize
 from conftest import dirac
 
 
@@ -212,6 +213,16 @@ def test_verify_failed_suite_is_exit_one(monkeypatch, capsys):
     monkeypatch.setattr(cli, "run_suite", lambda *a, **k: (failing, []))
     assert main(["verify", "distance-oracle"]) == 1
     assert "FAIL distance-oracle:" in capsys.readouterr().out
+
+
+def test_report_details_are_the_worst_rows_failing_first():
+    rows = [row("c", t, f"q{t}", 0.0, 1e-12 * t, 1e-10) for t in range(60)]
+    bad = row("c", 17, "dist@p=2", 1.0, 1.5, 1e-10)
+    rows.insert(40, bad)
+    report = summarize("c", rows, detail_cap=5)
+    assert not report.passed
+    assert report.details[0] is bad
+    assert [r.trial for r in report.details[1:]] == [59, 58, 57, 56]
 
 
 # ----------------------------------------------------------------------

@@ -79,6 +79,14 @@ def test_ladder_bound_frozen_values():
     assert ladder_bound(3, 1.5) == pytest.approx(0.125, abs=1e-16)
 
 
+@pytest.mark.parametrize("bad", [-1, 2.5, 21, float("inf"), float("nan")])
+def test_ladder_index_gates(bad):
+    with pytest.raises(ValueError):
+        ladder_bound(bad, 2.0)
+    with pytest.raises(ValueError):
+        qn_elements(bad)
+
+
 def test_qn_elements_are_the_extremal_two_point_family():
     # level n: two-point measures at {0, 1} with weights (2j+1)/2^{n+1}
     got = [m.atoms() for m in qn_elements(1)]
@@ -214,5 +222,7 @@ def test_combination_gates():
         convex_hull_combination([(mu, -0.5), (mu, 1.5)])
     with pytest.raises(WeightError):
         convex_hull_combination([(mu, 0.4), (mu, 0.4)])
+    with pytest.raises(WeightError):
+        convex_hull_combination([(mu, 0.5), (mu, float("nan")), (mu, 0.5)])
     with pytest.raises(DomainMismatch):
         convex_hull_combination([(mu, 0.5), (dirac(0.5, Domain.REAL_LINE), 0.5)])

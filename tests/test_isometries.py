@@ -204,7 +204,7 @@ def test_h_q_maps_are_mutually_inverse():
     for q in (-1.5, -0.2, 0.4, 2.0):
         back = h_q_inverse(h_q_eval(xs, q), q)
         assert back == pytest.approx(xs, abs=1e-14)
-    for bad in (0.0, 1.0):  # the automorphism is only defined strictly inside
+    for bad in (0.0, 1.0, float("nan")):  # the automorphism is only defined strictly inside
         with pytest.raises(LevelOutOfRange):
             h_q_eval(bad, 1.0)
 
@@ -217,6 +217,9 @@ def test_grid_operator_matches_the_discrete_closed_form():
     pairs = exotic_apply_grid(mu, q, 512)
     for level, value in pairs:
         assert value == pytest.approx(moved.eval(level), abs=1e-11)
+    for bad in (1, 2.5, float("inf"), float("nan")):
+        with pytest.raises(ValueError):
+            exotic_apply_grid(mu, q, bad)
 
 
 # ----------------------------------------------------------------------

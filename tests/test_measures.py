@@ -270,6 +270,8 @@ def test_cdf_recovery_step_gates():
         cdf_from_dirac_distances(mu, 0.5, 0.0)
     with pytest.raises(StepOutOfRange):
         cdf_from_dirac_distances(mu, 0.9999999, 1e-3)
+    with pytest.raises(StepOutOfRange):
+        cdf_from_dirac_distances(mu, 0.5, float("nan"))
 
 
 # ----------------------------------------------------------------------

@@ -26,7 +26,7 @@ from wasserline import (
     transport_lp_oracle,
     wasserstein_distance,
 )
-from wasserline import metric, plf
+from wasserline import interval, metric, plf
 from conftest import dirac, linprog_transport, quad_quantile_gap, uniform01
 
 
@@ -48,6 +48,27 @@ def test_a_merged_grid_distance_runs_the_whole_chain():
         assert wasserstein_distance(mu, nu, 2.0) > 0.0
     assert (gap.call_count, on_common.call_count, common.call_count, cells.call_count) == (1, 1, 1, 1)
     assert [c.args[0] for c in on_grid.call_args_list] == [mu.quantile, nu.quantile]
+
+
+def test_distances_and_the_projection_share_one_power_kernel():
+    # one home for the cells of |affine|^r: a fix made there reaches both
+    mu = sampling.random_unit_measure(np.random.default_rng(5))
+    nu = from_atoms([(0.25, 0.5), (0.75, 0.5)], domain=Domain.UNIT_INTERVAL)
+    kernel = mock.Mock(wraps=plf._power_cells)
+    with (
+        mock.patch.object(plf, "_power_cells", kernel),
+        mock.patch.object(interval, "_power_cells", kernel),
+        mock.patch.object(plf, "abs_pow_cells", wraps=plf.abs_pow_cells) as cells,
+    ):
+        assert wasserstein_distance(mu, nu, 2.0) > 0.0
+        assert (cells.call_count, [c.args[3:] for c in kernel.call_args_list]) == (1, [(2.0, False)])
+        cells.reset_mock()
+        kernel.reset_mock()
+        interval.nearest_in_mn(mu, 1, 1.5)
+    orders = [c.args[3:] for c in kernel.call_args_list]
+    # the bisection steps of the projection, then its one distance
+    assert len(orders) > 2 and orders == [(0.5, True)] * (len(orders) - 1) + [(1.5, False)]
+    assert cells.call_count == 1
 
 
 # ----------------------------------------------------------------------
@@ -175,8 +196,12 @@ def test_order_gates():
 
 
 def test_domain_mismatch_gate():
+    mu, nu = dirac(0.5, Domain.REAL_LINE), dirac(0.5, Domain.UNIT_INTERVAL)
     with pytest.raises(DomainMismatch):
-        wasserstein_distance(dirac(0.5, Domain.REAL_LINE), dirac(0.5, Domain.UNIT_INTERVAL), 2.0)
+        wasserstein_distance(mu, nu, 2.0)
+    for geodesic in (monotone_range, lambda a, b: geodesic_point(a, b, 0.5)):
+        with pytest.raises(DomainMismatch, match="geodesics need a common domain"):
+            geodesic(mu, nu)
 
 
 # ----------------------------------------------------------------------
@@ -205,10 +230,11 @@ def test_monotone_range_frozen_example():
     r = monotone_range(mu, nu)
     assert r.lo == -0.5 and r.hi is None
     assert r.contains(-0.5) and r.contains(100.0)
-    assert not r.contains(-0.51)
+    assert not r.contains(-0.51) and not r.contains(float("nan"))
     assert geodesic_point(mu, nu, -0.5) == dirac(0.0)
-    with pytest.raises(NotMonotone):
-        geodesic_point(mu, nu, -0.6)
+    for bad in (-0.6, float("nan")):
+        with pytest.raises(NotMonotone):
+            geodesic_point(mu, nu, bad)
 
 
 def test_geodesic_extends_beyond_the_segment_inside_the_range():
@@ -223,3 +249,6 @@ def test_dirac_geodesics_are_unbounded_rays():
     r = monotone_range(dirac(0.0), dirac(1.0))
     assert r.lo is None and r.hi is None
     assert r.contains(-1e6) and r.contains(1e6)
+    assert not r.contains(float("nan"))
+    with pytest.raises(NotMonotone):
+        geodesic_point(dirac(0.0), dirac(1.0), float("nan"))
