@@ -24,10 +24,11 @@ from .errors import (
     WeightError,
 )
 from .measures import Domain, Measure, dist_to_dirac, from_atoms
-from .metric import check_order, wasserstein_distance
-from .plf import _power_cells, plf_combine
+from .metric import check_order
+from .plf import PLF, _power_cells, abs_pow_cells, plf_combine
 
 _MAX_LADDER = 20  # 2^20 atoms is already far beyond any sane use
+_EPS = float(np.finfo(float).eps)
 
 
 def _require_unit(mu: Measure) -> None:
@@ -108,9 +109,18 @@ def nearest_in_mn(mu: Measure, n: int, p: float) -> tuple[Measure, float]:
 
     The k-th atom only sees the quantile block [(k-1)/2^n, k/2^n), and
     the block cost a -> integral |Q - a|^p is strictly convex, so each
-    position solves a scalar equation.  The derivative has a closed form
-    per cell (the integral of sign(u)|u|^(p-1)), and bisection on it
-    converges deterministically; all blocks run in lockstep.
+    position solves a scalar equation.  At p = 2 the solution is the
+    block mean, in closed form.  Elsewhere each block starts at its mean
+    and takes Newton steps on the derivative g(a) = -integral of
+    sign(Q-a)|Q-a|^(p-1), with curvature (p-1) integral |Q-a|^(p-2),
+    both per cell from ``_power_cells``.  The block's value range brackets
+    the root and shrinks by the sign of g; its midpoint replaces a step
+    that is not finite, leaves it or fails to halve the step before last.
+    For p < 2 the curvature is infinite on a flat cell at the iterate, and
+    near an atom g has the cusp |Q-a|^(p-1), on which plain Newton steps
+    cycle.  A block stops at a step below an ulp of its position, at
+    g = 0, or when its bracket holds no float between its ends.  All
+    blocks run in lockstep.
     """
     _require_unit(mu)
     p = check_order(p)
@@ -126,26 +136,55 @@ def nearest_in_mn(mu: Measure, n: int, p: float) -> tuple[Measure, float]:
     cell_block = np.clip(cell_block, 0, blocks - 1)
     first = np.searchsorted(cell_block, np.arange(blocks), side="left")
     last = np.searchsorted(cell_block, np.arange(blocks), side="right") - 1
-    lo = q.yl[first].astype(np.float64).copy()
-    hi = q.yr[last].astype(np.float64).copy()
+    lo = q.yl[first]
+    hi = q.yr[last]
 
-    def derivative(a_blocks: np.ndarray) -> np.ndarray:
-        a = a_blocks[cell_block]
-        per_cell = -_power_cells(w, q.yl - a, q.yr - a, p - 1.0, True)
+    def block_sums(per_cell: np.ndarray) -> np.ndarray:
         return np.bincount(cell_block, weights=per_cell, minlength=blocks)
 
-    for _ in range(120):
-        a = (lo + hi) * 0.5
-        g = derivative(a)
-        below = g < 0.0
-        lo = np.where(below, a, lo)
-        hi = np.where(below, hi, a)
-        if np.all(hi - lo <= 1e-14):
-            break
-    a = (lo + hi) * 0.5
+    a = np.clip(blocks * block_sums(q._cell_areas()), lo, hi)
+    done = np.full(blocks, p == 2.0) | (lo == hi)
+    moved = before = hi - lo
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        for _ in range(120):
+            if done.all():
+                break
+            at = a[cell_block]
+            u, v = q.yl - at, q.yr - at
+            g = -block_sums(_power_cells(w, u, v, p - 1.0, True))
+            h = (p - 1.0) * block_sums(_power_cells(w, u, v, p - 2.0, False))
+            lo = np.where(g < 0.0, a, lo)
+            hi = np.where(g > 0.0, a, hi)
+            dx = g / h
+            newton = a - dx
+            mid = (lo + hi) * 0.5
+            # a step below an ulp of a is the last one, even where it rounds
+            # onto the bracket end that a just set; otherwise the midpoint
+            # replaces a step that is not finite, leaves the bracket or fails
+            # to halve the step before last
+            small = np.abs(dx) <= 4.0 * _EPS * np.abs(a)
+            take = small | ((lo < newton) & (newton < hi) & (np.abs(dx) <= 0.5 * before))
+            step = np.where(take, newton, mid)
+            before, moved = moved, np.abs(step - a)
+            stay = done | (g == 0.0)
+            a = np.where(stay, a, step)
+            # a bracket of neighbouring floats has nothing left to bisect
+            done = stay | small | (mid <= lo) | (mid >= hi)
     a = np.maximum.accumulate(np.clip(a, 0.0, 1.0))
-    best = mn_element(a)
-    return best, wasserstein_distance(mu, best, p)
+    # the element is constant on each block, so the refined quantile's
+    # cells are a common grid of the two
+    u, v = q.yl - a[cell_block], q.yr - a[cell_block]
+    return _dyadic_mn_element(a), float(np.sum(abs_pow_cells(w, u, v, p)) ** (1.0 / p))
+
+
+def _dyadic_mn_element(a: np.ndarray) -> Measure:
+    """``mn_element(a)`` without its checks, for 2^n positions sorted in
+    [0, 1]: one atom per run of equal positions at the run's first one
+    (``from_atoms`` keeps the first of tied zeros), on the breaks k/2^n."""
+    starts = np.flatnonzero(np.concatenate([[True], a[1:] != a[:-1]]))
+    pos = a[starts]
+    breaks = np.append(starts, len(a)) / float(len(a))
+    return Measure(Domain.UNIT_INTERVAL, PLF._trusted(breaks, pos, pos))
 
 
 def t_star(alpha: float, p: float) -> float:

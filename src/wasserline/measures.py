@@ -234,6 +234,8 @@ def quantile_eval(mu: Measure, y):
 def cdf_eval(mu: Measure, x):
     """F(x) = mu((-inf, x]); vectorized."""
     arr = np.asarray(x, dtype=np.float64)
+    if np.any(np.isnan(arr)):
+        raise ValueError("evaluation point is NaN")
     lo, hi = mu.quantile.value_range
     out = np.zeros(arr.shape)
     out = np.where(arr >= hi, 1.0, out)

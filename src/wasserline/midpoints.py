@@ -354,11 +354,12 @@ def dirac_certificate(eta: Measure, n: float) -> tuple[Measure, Measure] | None:
         if gap <= 0.0:
             continue
         if 2.0 * weight * gap >= n:
-            s = n / (2.0 * weight)
-            if math.isfinite(gap):
-                s = min(s, gap)
-            lo = Measure(Domain.REAL_LINE, PLF(breaks, _patched(yl, k, value - s), _patched(yr, k, value - s)))
-            hi = Measure(Domain.REAL_LINE, PLF(breaks, _patched(yl, k, value + s), _patched(yr, k, value + s)))
+            s = min(n / (2.0 * weight), gap)
+            # a shift by a whole gap can round past the neighbouring atom
+            down = value - s if k == 0 else max(value - s, float(yr[k - 1]))
+            up = value + s if k == m - 1 else min(value + s, float(yl[k + 1]))
+            lo = Measure(Domain.REAL_LINE, PLF(breaks, _patched(yl, k, down), _patched(yr, k, down)))
+            hi = Measure(Domain.REAL_LINE, PLF(breaks, _patched(yl, k, up), _patched(yr, k, up)))
             return lo, hi
     # horizontal type: shift the level of one support gap
     for k in range(m - 1):

@@ -22,7 +22,10 @@ Every ``PLF`` array is read-only.  ``PLF(...)`` validates and copies;
 monotone by construction: ``on_grid`` (input nodes, or values pinned in
 their segment), ``restrict``/``canonical`` (parts of a valid function),
 ``inverse`` (after its tiling check), ``minimum``/``maximum`` (pointwise
-extremes of monotone nodes) and ``concat_plfs`` (after its seam checks).
+extremes of monotone nodes), ``concat_plfs`` (after its seam checks) and
+the element returned by ``interval.nearest_in_mn`` (positions clipped to
+[0, 1] and made nondecreasing by a running maximum, on the dyadic breaks
+k/2^n).
 ``plf_combine`` (a signed blend may decrease), ``map_values`` and
 ``map_levels`` (rounding collapses breaks, overflow reaches inf) validate.
 
@@ -148,7 +151,7 @@ class PLF:
         """Right-continuous evaluation; the top break returns ``yr[-1]``."""
         arr = np.asarray(y, dtype=np.float64)
         lo, hi = self.breaks[0], self.breaks[-1]
-        if np.any(arr < lo) or np.any(arr > hi):
+        if not np.all((arr >= lo) & (arr <= hi)):  # NaN fails too
             raise ValueError("evaluation point outside the domain")
         k = self._segment_index(arr, "right")
         v = self._interp(k, arr)
@@ -160,7 +163,7 @@ class PLF:
         """Limit from the left; at the bottom break returns ``yl[0]``."""
         arr = np.asarray(y, dtype=np.float64)
         lo, hi = self.breaks[0], self.breaks[-1]
-        if np.any(arr < lo) or np.any(arr > hi):
+        if not np.all((arr >= lo) & (arr <= hi)):  # NaN fails too
             raise ValueError("evaluation point outside the domain")
         k = self._segment_index(arr, "left")
         v = self._interp(k, arr)
@@ -264,7 +267,7 @@ class PLF:
     def prefix_integrals(self, points) -> np.ndarray:
         """Integral from the bottom break up to each point, vectorized."""
         t = np.asarray(points, dtype=np.float64)
-        if np.any(t < self.breaks[0]) or np.any(t > self.breaks[-1]):
+        if not np.all((t >= self.breaks[0]) & (t <= self.breaks[-1])):  # NaN fails too
             raise ValueError("integration point outside the domain")
         cum = np.concatenate([[0.0], np.cumsum(self._cell_areas())])
         k = self._segment_index(t, "right")
@@ -535,7 +538,9 @@ def _power_cells(w: np.ndarray, a: np.ndarray, b: np.ndarray, r: float, signed: 
     for l affine from a to b over width w: the divided difference of the
     power primitive on steep cells only; where |b-a| <= 1e-9*max(|a|,|b|)
     it would cancel catastrophically, and the midpoint value of the
-    integrand (exact in the limit) takes over."""
+    integrand (exact in the limit) takes over.  r may be negative (r > -1,
+    integrable), as in the curvature (p-1)|l|^(p-2) of the M_n projection
+    at p < 2; a flat cell at zero then gives inf."""
     def power(u: np.ndarray, e: float, odd: bool) -> np.ndarray:  # |u|^e, or sign(u)|u|^e
         m = np.abs(u) ** e
         return np.sign(u) * m if odd else m

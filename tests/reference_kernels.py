@@ -5,13 +5,15 @@ merge-indexed one replaced, and of the ``np.union1d`` grids of ``refine``,
 ``plf_combine``, ``_with_crossings`` and the midpoint probe that the
 multi-way merge replaced, kept as differential oracles.  The last section
 keeps the bodies that the one-home helpers of ``wasserline.plf`` replaced:
-the M_n projection with its own power cells, the geodesic range with its
-own node layout, the junction shift with its own empty-cell drop and the
-midpoint geometry with its own envelopes.
+the M_n projection by bisection with its own power cells, the geodesic
+range with its own node layout, the junction shift with its own
+empty-cell drop and the midpoint geometry with its own envelopes.
 
 The array versions in ``wasserline.plf`` and ``wasserline.measures`` must
 reproduce these bit for bit (W1 cells excepted, which are now computed
-without cancellation); ``test_array_kernels.py`` compares the two.  The
+without cancellation, and the M_n projection, whose Newton steps must
+come at least as close as the bisection); ``test_array_kernels.py``
+compares the two.  The
 bodies below are the old method bodies with ``self`` turned into an
 argument and nothing else changed, except that the union1d grids call
 ``searched_on_grid`` (the old ``PLF.on_grid`` without ``k``) and each

@@ -103,6 +103,14 @@ def test_cdf_is_right_continuous_with_full_range():
     assert cdf_eval(mu, 0.999999) == 0.5
 
 
+@pytest.mark.parametrize("x", [float("nan"), np.array([0.5, float("nan")])])
+def test_cdf_rejects_nan(x):
+    # NaN compares false with both ends of the support and used to read 0.0
+    mu = from_atoms([(0.0, 0.5), (1.0, 0.5)])
+    with pytest.raises(ValueError, match="NaN"):
+        cdf_eval(mu, x)
+
+
 def test_quantile_level_gates():
     mu = from_atoms([(0.0, 1.0)])
     for bad in (0.0, 1.0, -0.5, 1.5, float("nan")):

@@ -55,10 +55,12 @@ def test_distances_and_the_projection_share_one_power_kernel():
     mu = sampling.random_unit_measure(np.random.default_rng(5))
     nu = from_atoms([(0.25, 0.5), (0.75, 0.5)], domain=Domain.UNIT_INTERVAL)
     kernel = mock.Mock(wraps=plf._power_cells)
+    cells = mock.Mock(wraps=plf.abs_pow_cells)
     with (
         mock.patch.object(plf, "_power_cells", kernel),
         mock.patch.object(interval, "_power_cells", kernel),
-        mock.patch.object(plf, "abs_pow_cells", wraps=plf.abs_pow_cells) as cells,
+        mock.patch.object(plf, "abs_pow_cells", cells),
+        mock.patch.object(interval, "abs_pow_cells", cells),
     ):
         assert wasserstein_distance(mu, nu, 2.0) > 0.0
         assert (cells.call_count, [c.args[3:] for c in kernel.call_args_list]) == (1, [(2.0, False)])
@@ -66,8 +68,10 @@ def test_distances_and_the_projection_share_one_power_kernel():
         kernel.reset_mock()
         interval.nearest_in_mn(mu, 1, 1.5)
     orders = [c.args[3:] for c in kernel.call_args_list]
-    # the bisection steps of the projection, then its one distance
-    assert len(orders) > 2 and orders == [(0.5, True)] * (len(orders) - 1) + [(1.5, False)]
+    # the Newton steps of the projection (slope, then curvature), then its
+    # one distance
+    steps = (len(orders) - 1) // 2
+    assert steps > 0 and orders == [(0.5, True), (-0.5, False)] * steps + [(1.5, False)]
     assert cells.call_count == 1
 
 

@@ -247,6 +247,35 @@ def test_wide_gap_certificate_capacity():
     assert dirac_certificate(eta, 10.5) is None  # beyond every gap capacity
 
 
+def test_vertical_certificate_pins_the_shift_to_the_neighbouring_atom():
+    # n = 2 W gap for the middle atom: value + fl(yl[k+1] - value) rounded
+    # past the right neighbour and the patched quantile decreased
+    eta = from_atoms([(-6.975092323916503, 0.19502916324278835), (-3.7377328417591955, 0.7236425341636187),
+                      (-0.6563749917976371, 0.08132830259359297)])
+    n = 4.459603206422284
+    lo, hi = dirac_certificate(eta, n)
+    assert hi.atoms()[-1][0] == -0.6563749917976371  # the moved atom met its neighbour
+    assert is_adjacent(lo, hi) is not None
+    assert wasserstein_distance(lo, hi, 1.0) == pytest.approx(n, abs=1e-12)
+    assert is_midpoint(eta, lo, hi, tol=1e-9)
+
+
+def test_vertical_certificate_at_full_gap_capacity():
+    # at the capacity itself the normalized weight may round the move away
+    # (None); a certificate that is returned must be valid
+    rng = np.random.default_rng(0)
+    found = 0
+    for _ in range(2000):
+        pos = np.sort(rng.normal(0.0, 3.0, 3))
+        w = rng.dirichlet(np.ones(3))
+        n = 2.0 * w[1] * min(pos[1] - pos[0], pos[2] - pos[1])
+        cert = dirac_certificate(from_atoms(zip(pos, w)), n)
+        if cert is not None:
+            found += 1
+            assert wasserstein_distance(*cert, 1.0) == pytest.approx(n, rel=1e-12)
+    assert found > 1000
+
+
 def test_certificate_pairs_put_eta_in_the_midpoint_set():
     rng = np.random.default_rng(109)
     for _ in range(6):

@@ -20,7 +20,7 @@ SUITE_CSV_SHA256 = {
     "distance-oracle": "d0aca2dc7e061022d16ba3e5355cd655e9a2d4a3a4bf2b012cfd8c318775875e",
     "slice-diameter": "835bfaed55d031a8259823c3ad8b26eb4c988434de1b52527ebceeb2f7516320",
     "klein-relations": "6c750573b2926ffb12f9b085efb9b61ab4d11c04e5214f1a2570d1c98941c4a6",
-    "ladder-bound": "931d2c661b723ba1336ed0ee4d5e99ef795b9ee8c5dce9d1f82cda88db5b0ca8",
+    "ladder-bound": "1763e310d1123ca891e983852592bc979041b2a1678ddefcf8bd02cfe5758d23",
     "midpoint-geometry": "db74aae31723f5cba6597defb02f5eed6a2b6f9c1b4d9ea7ed14da1aad08352a",
     "dirac-characterization": "d34f5352ae90065897fe3433233b994eb44737792be36093b31c1283e72d8a52",
     "exotic-flow": "78f3d3b22bf273b4017e2f898ab60e6bd8a0a2acb28559a0fbef1c0b88276d27",

@@ -78,6 +78,13 @@ def test_eval_outside_domain_raises():
         f.eval(1.1)
 
 
+@pytest.mark.parametrize("query", [PLF.eval, PLF.left_limit, PLF.prefix_integrals])
+@pytest.mark.parametrize("y", [float("nan"), np.array([0.25, float("nan"), 1.0])])
+def test_nan_points_fail_the_domain_check(query, y):
+    with pytest.raises(ValueError, match="outside the domain"):
+        query(rising_then_flat(), y)
+
+
 def test_vectorized_eval_matches_scalar():
     f = rising_then_flat()
     ys = np.linspace(0.0, 1.0, 17)
