@@ -1,7 +1,7 @@
 """Turn paired perfbench run records into one BENCH_<pr>.json.
 
-    python3 tools/bench_record.py --pr 8 --parent ../parent/.bench_out --change .bench_out \
-        --note "2-core shared x86-64 host, pairs alternate which side runs first" --out BENCH_8.json
+    python3 tools/bench_record.py --pr N --parent ../parent/.bench_out --change .bench_out \
+        --note "2-core shared x86-64 host, pairs alternate which side runs first"
 
 ``--parent`` and ``--change`` are ``.bench_out`` directories (or record
 files) written by ``perfbench/run.py``.  Records pair up by workload and
@@ -10,7 +10,8 @@ end-to-end metric the file holds each side's median, quartiles and IQR
 (``statistics.quantiles(values, n=4)``, as ``perfbench/spread.py``
 computes them), the relative change of the median, and in how many pairs
 the change was the better side; traced records (``--trace 1``) add each
-side's per-layer medians.  The commits, source digests, seeds,
+side's per-layer medians (every counter the trace table holds, as totals
+over that run's steps).  The commits, source digests, seeds,
 ``run_seconds`` and the host come from the records' stamps.
 """
 
@@ -83,11 +84,15 @@ def build(pr: int, parent: dict, change: dict, note: str) -> dict:
                 }
         traced = [k for k in pairs if k[0] == workload and k[2] == 1]
         if traced:
+            # totals over each run's own steps; a faster side runs more
             entry["traced_seeds"] = [k[1] for k in traced]
+            entry["traced_steps"] = {side: [recs[k]["steps"] for k in traced]
+                                     for side, recs in (("parent", parent), ("change", change))}
+            names = set.intersection(*(set(recs[k]["per_layer"]) for recs in (parent, change) for k in traced))
             entry["per_layer"] = {
-                name: {side: statistics.median(recs[k]["metrics"][name] for k in traced)
+                name: {side: statistics.median(recs[k]["per_layer"][name] for k in traced)
                        for side, recs in (("parent", parent), ("change", change))}
-                for name in parent[traced[0]]["metrics"]
+                for name in sorted(names)
             }
     return doc
 
