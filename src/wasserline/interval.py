@@ -91,10 +91,19 @@ def mn_element(positions) -> Measure:
         raise ValueError("need at least one position")
     if np.any(np.diff(pos) < 0.0):
         raise UnsortedPositions("positions must be sorted nondecreasingly")
-    if pos[0] < 0.0 or pos[-1] > 1.0:
+    if not np.all((pos >= 0.0) & (pos <= 1.0)):  # NaN fails too
         raise PositionOutOfRange("positions must lie in [0, 1]")
-    w = np.full(len(pos), 1.0 / len(pos))
-    return from_atoms(zip(pos, w), domain=Domain.UNIT_INTERVAL)
+    return _equal_weight_element(pos)
+
+
+def _equal_weight_element(a: np.ndarray) -> Measure:
+    """``mn_element(a)`` without its checks, for positions sorted in
+    [0, 1]: one atom per run of equal positions at the run's first one,
+    on the breaks k/len(a)."""
+    starts = np.flatnonzero(np.concatenate([[True], a[1:] != a[:-1]]))
+    pos = a[starts]
+    breaks = np.append(starts, len(a)) / float(len(a))
+    return Measure(Domain.UNIT_INTERVAL, PLF._trusted(breaks, pos, pos))
 
 
 def ladder_bound(n: int, p: float) -> float:
@@ -118,8 +127,9 @@ def nearest_in_mn(mu: Measure, n: int, p: float) -> tuple[Measure, float]:
     that is not finite, leaves it or fails to halve the step before last.
     For p < 2 the curvature is infinite on a flat cell at the iterate, and
     near an atom g has the cusp |Q-a|^(p-1), on which plain Newton steps
-    cycle.  A block stops at a step below an ulp of its position, at
-    g = 0, or when its bracket holds no float between its ends.  All
+    cycle.  A block stops at a step below a few ulps of its position
+    taken with finite curvature, at g = 0, or when its bracket holds no
+    float between its ends.  All
     blocks run in lockstep.
     """
     _require_unit(mu)
@@ -158,13 +168,15 @@ def nearest_in_mn(mu: Measure, n: int, p: float) -> tuple[Measure, float]:
             dx = g / h
             newton = a - dx
             mid = (lo + hi) * 0.5
-            # a step below an ulp of a is the last one, even where it rounds
-            # onto the bracket end that a just set; otherwise the midpoint
-            # replaces a step that is not finite, leaves the bracket or fails
-            # to halve the step before last
-            small = np.abs(dx) <= 4.0 * _EPS * np.abs(a)
+            # a step below a few ulps of a is the last one, kept inside the
+            # bracket that a just set an end of, unless it is zero only
+            # because the curvature is infinite (a sits on an atom, where g
+            # need not vanish); otherwise the midpoint replaces a step that
+            # is not finite, leaves the bracket or fails to halve the step
+            # before last
+            small = np.isfinite(h) & (np.abs(dx) <= 4.0 * _EPS * np.abs(a))
             take = small | ((lo < newton) & (newton < hi) & (np.abs(dx) <= 0.5 * before))
-            step = np.where(take, newton, mid)
+            step = np.where(take, np.clip(newton, lo, hi), mid)
             before, moved = moved, np.abs(step - a)
             stay = done | (g == 0.0)
             a = np.where(stay, a, step)
@@ -174,17 +186,7 @@ def nearest_in_mn(mu: Measure, n: int, p: float) -> tuple[Measure, float]:
     # the element is constant on each block, so the refined quantile's
     # cells are a common grid of the two
     u, v = q.yl - a[cell_block], q.yr - a[cell_block]
-    return _dyadic_mn_element(a), float(np.sum(abs_pow_cells(w, u, v, p)) ** (1.0 / p))
-
-
-def _dyadic_mn_element(a: np.ndarray) -> Measure:
-    """``mn_element(a)`` without its checks, for 2^n positions sorted in
-    [0, 1]: one atom per run of equal positions at the run's first one
-    (``from_atoms`` keeps the first of tied zeros), on the breaks k/2^n."""
-    starts = np.flatnonzero(np.concatenate([[True], a[1:] != a[:-1]]))
-    pos = a[starts]
-    breaks = np.append(starts, len(a)) / float(len(a))
-    return Measure(Domain.UNIT_INTERVAL, PLF._trusted(breaks, pos, pos))
+    return _equal_weight_element(a), float(np.sum(abs_pow_cells(w, u, v, p)) ** (1.0 / p))
 
 
 def t_star(alpha: float, p: float) -> float:

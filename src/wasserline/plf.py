@@ -23,9 +23,10 @@ monotone by construction: ``on_grid`` (input nodes, or values pinned in
 their segment), ``restrict``/``canonical`` (parts of a valid function),
 ``inverse`` (after its tiling check), ``minimum``/``maximum`` (pointwise
 extremes of monotone nodes), ``concat_plfs`` (after its seam checks) and
-the element returned by ``interval.nearest_in_mn`` (positions clipped to
-[0, 1] and made nondecreasing by a running maximum, on the dyadic breaks
-k/2^n).
+the M_n element that ``interval.mn_element`` builds after its checks and
+``interval.nearest_in_mn`` builds from positions clipped to [0, 1] and
+made nondecreasing by a running maximum (one atom per run of equal
+positions, on the breaks k/m).
 ``plf_combine`` (a signed blend may decrease), ``map_values`` and
 ``map_levels`` (rounding collapses breaks, overflow reaches inf) validate.
 

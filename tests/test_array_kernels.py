@@ -51,7 +51,6 @@ from wasserline import (
     wasserstein_distance,
 )
 from wasserline.errors import EqualEndpoints
-from wasserline.interval import _dyadic_mn_element
 from wasserline.metric import geodesic_point
 from wasserline.midpoints import (
     _cdf_pair,
@@ -765,6 +764,9 @@ def projection_cases(draw) -> tuple[Measure, int, float]:
 @settings(max_examples=40, deadline=None)
 @given(projection_cases())
 @example((sampling.random_unit_measure(np.random.default_rng(1)), 2, 1.1))
+# the block mean is the atom at 0.5, where the curvature is infinite and
+# g is not zero: a zero Newton step there is no convergence
+@example((from_atoms([(0.25, 0.5), (0.5, 0.25), (1.0, 0.25)], domain=Domain.UNIT_INTERVAL), 0, 1.5))
 def test_projection_against_a_50_digit_minimizer(case):
     # the element's own 50-digit distance is within 1e-14 of the minimum;
     # the returned d comes from the library's power cells, which still
@@ -779,13 +781,34 @@ def test_projection_against_a_50_digit_minimizer(case):
 
 
 @settings(max_examples=200, deadline=None)
-@given(st.integers(0, 5).flatmap(lambda k: st.lists(
-    st.one_of(st.sampled_from([0.0, -0.0, 0.25, 1.0]), st.floats(-0.5, 1.5)), min_size=2**k, max_size=2**k)))
-def test_the_trusted_mn_element_is_the_validated_one(raw):
+@given(st.one_of(st.integers(0, 5).map(lambda k: 2**k), st.integers(1, 40)).flatmap(lambda m: st.lists(
+    st.one_of(st.sampled_from([0.0, -0.0, 0.25, 1.0]), st.floats(-0.5, 1.5)), min_size=m, max_size=m)))
+def test_mn_element_is_the_equal_weight_atom_measure(raw):
     # sorted into [0, 1] as the projection does: runs of equal positions,
-    # zeros of both signs among them
+    # zeros of both signs among them; the breaks are k/m rounded once, so
+    # at m = 2^n they are the atoms' cumulative weights bit for bit and
+    # elsewhere within rounding of them
     a = np.maximum.accumulate(np.clip(np.array(raw), 0.0, 1.0))
-    assert same_measure(_dyadic_mn_element(a), mn_element(a))
+    got = mn_element(a).quantile
+    want = from_atoms(zip(a, np.full(len(a), 1.0 / len(a))), domain=Domain.UNIT_INTERVAL).quantile
+    assert np.array_equal(got.yl, want.yl) and np.array_equal(got.yr, want.yr)
+    assert np.all(np.signbit(got.yl) == np.signbit(want.yl))
+    starts = np.flatnonzero(np.concatenate([[True], a[1:] != a[:-1]]))
+    assert np.array_equal(got.breaks, np.append(starts, len(a)) / len(a))
+    if len(a) & (len(a) - 1) == 0:
+        assert np.array_equal(got.breaks, want.breaks)
+    else:
+        assert np.max(np.abs(got.breaks - want.breaks)) <= 4e-15
+
+
+def test_a_last_newton_step_stays_in_the_bracket():
+    # the block holds two floats 4 ulps apart; a last step of a few ulps
+    # from the block mean once left it
+    x0, x1 = 0.3749999999999999, 0.3750000000000001
+    mu = from_atoms([(x0, 0.8587178795777924), (x1, 0.14128212042220767)], domain=Domain.UNIT_INTERVAL)
+    best, d = nearest_in_mn(mu, 0, 1.5)
+    assert x0 <= best.quantile.yl[0] <= x1
+    assert d <= ref.nearest_in_mn(mu, 0, 1.5)[1]
 
 
 def test_projection_raises_no_runtime_warning_on_atoms():
