@@ -803,7 +803,7 @@ def test_mn_element_is_the_equal_weight_atom_measure(raw):
 
 def test_a_last_newton_step_stays_in_the_bracket():
     # the block holds two floats 4 ulps apart; a last step of a few ulps
-    # from the block mean once left it
+    # from the block mean could leave it
     x0, x1 = 0.3749999999999999, 0.3750000000000001
     mu = from_atoms([(x0, 0.8587178795777924), (x1, 0.14128212042220767)], domain=Domain.UNIT_INTERVAL)
     best, d = nearest_in_mn(mu, 0, 1.5)
