@@ -91,8 +91,7 @@ from .midpoints import (
     AdjacencyWitness,
     MidpointGeometry,
     ProbeResult,
-    bisecting_horizontal,
-    bisecting_vertical,
+    bisecting_pair,
     dirac_certificate,
     is_adjacent,
     is_midpoint,

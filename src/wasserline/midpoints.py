@@ -14,16 +14,20 @@ When alpha_2 > 0 the two glue constructions
 (after labeling mu, nu so that F_mu(v) < h < F_nu(v-)) are midpoints at
 mutual distance alpha_1 + alpha_3 in [D/2, D].  The midpoint set of an
 adjacent pair has diameter exactly D/2, attained only by these two.
+
+``midpoint_geometry`` is the one analysis of a pair (D, v, h, the
+alphas, the orientation); ``bisecting_pair`` and
+``midpoint_diameter_probe`` read that record instead of recomputing it.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DomainMismatch, EqualEndpoints, NotBisectable
+from .errors import DomainMismatch, EqualEndpoints, NotBisectable, NotMonotone
 from .measures import Domain, Measure
 from .metric import geodesic_point, wasserstein_distance
 from .plf import PLF, _envelope, _nodes, _with_crossings, _without_empty_cells, abs_pow_cells
@@ -35,7 +39,8 @@ class MidpointGeometry:
     """Area decomposition of the band between two CDFs.
 
     ``swapped`` records whether the labeling had to be exchanged to get
-    the orientation F_mu(v) < h < F_nu(v-) used by the constructions.
+    the orientation F_mu(v) < h < F_nu(v-) used by the constructions;
+    ``pair`` is (mu, nu) as given to ``midpoint_geometry``.
     """
 
     D: float
@@ -43,6 +48,7 @@ class MidpointGeometry:
     h: float
     alphas: tuple[float, float, float, float]
     swapped: bool
+    pair: tuple[Measure, Measure] = field(compare=False, repr=False)
 
 
 @dataclass(frozen=True)
@@ -75,13 +81,12 @@ def _cdf_pair(mu: Measure, nu: Measure) -> tuple[PLF, PLF]:
 # area medians
 
 
-def _half_area_point(f: PLF, g: PLF) -> float:
-    """Infimum point x with integral of |f - g| up to x reaching half of
-    the total.  Cells are refined at sign changes first, so the partial
-    integral inside one cell is a trapezoid of |affine| and the infimum
-    is found by float bisection down to adjacent doubles.
+def _half_area_point(F: PLF, G: PLF) -> float:
+    """Infimum point x with integral of |F - G| up to x reaching half of
+    the total, for a pair from ``_with_crossings``: the partial integral
+    inside one cell is a trapezoid of |affine| and the infimum is found
+    by float bisection down to adjacent doubles.
     """
-    F, G = _with_crossings(f, g)
     grid = F.breaks
     dl = F.yl - G.yl
     dr = F.yr - G.yr
@@ -119,8 +124,7 @@ def _half_area_point(f: PLF, g: PLF) -> float:
 # the geometry record
 
 
-def _pair_distance(mu: Measure, nu: Measure) -> float:
-    """d_1 of two distinct measures on one domain."""
+def midpoint_geometry(mu: Measure, nu: Measure) -> MidpointGeometry:
     if mu.domain is not nu.domain:
         raise DomainMismatch("midpoint geometry needs one common domain")
     if mu == nu:
@@ -128,16 +132,10 @@ def _pair_distance(mu: Measure, nu: Measure) -> float:
     D = wasserstein_distance(mu, nu, 1.0)
     if D == 0.0:
         raise EqualEndpoints("measures coincide")
-    return D
-
-
-def midpoint_geometry(mu: Measure, nu: Measure) -> MidpointGeometry:
-    D = _pair_distance(mu, nu)
     fm, fn = _cdf_pair(mu, nu)
-    v = _half_area_point(fm, fn)
-    h = _half_area_point(mu.quantile, nu.quantile)
-
+    v = _half_area_point(*_with_crossings(fm, fn))
     pair = _with_crossings(mu.quantile, nu.quantile)
+    h = _half_area_point(*pair)
     q_lo, q_hi = _envelope(*pair, np.minimum), _envelope(*pair, np.maximum)
     lo_v = q_lo.minimum(v)
     hi_v = q_hi.minimum(v)
@@ -151,23 +149,11 @@ def midpoint_geometry(mu: Measure, nu: Measure) -> MidpointGeometry:
     margin_keep = min(h - fm.eval(v), fn.left_limit(v) - h)
     margin_swap = min(h - fn.eval(v), fm.left_limit(v) - h)
     swapped = margin_swap > margin_keep
-    return MidpointGeometry(D, v, h, (a1, a2, a3, a4), swapped)
+    return MidpointGeometry(D, v, h, (a1, a2, a3, a4), swapped, (mu, nu))
 
 
 # ----------------------------------------------------------------------
 # bisecting measures
-
-
-def _oriented(mu: Measure, nu: Measure, geo: MidpointGeometry) -> tuple[Measure, Measure]:
-    return (nu, mu) if geo.swapped else (mu, nu)
-
-
-def _check_bisectable(geo: MidpointGeometry) -> None:
-    if geo.alphas[1] <= 1e-12 * max(1.0, geo.D):
-        raise NotBisectable(
-            "alpha_2 vanishes; the extremal midpoints are the plain glue "
-            "measures and no bisecting pair is defined"
-        )
 
 
 def _glue_vertical(a: Measure, b: Measure, v: float, h: float) -> Measure:
@@ -180,18 +166,18 @@ def _glue_horizontal(a: Measure, b: Measure, v: float, h: float) -> Measure:
     return Measure(a.domain, plf_splice(b.quantile, a.quantile, h))
 
 
-def bisecting_vertical(mu: Measure, nu: Measure) -> Measure:
-    """The midpoint whose CDF follows mu left of v and nu from v on."""
-    geo = midpoint_geometry(mu, nu)
-    _check_bisectable(geo)
-    return _glue_vertical(*_oriented(mu, nu, geo), geo.v, geo.h)
-
-
-def bisecting_horizontal(mu: Measure, nu: Measure) -> Measure:
-    """The midpoint whose quantile follows nu below level h and mu above."""
-    geo = midpoint_geometry(mu, nu)
-    _check_bisectable(geo)
-    return _glue_horizontal(*_oriented(mu, nu, geo), geo.v, geo.h)
+def bisecting_pair(geo: MidpointGeometry) -> tuple[Measure, Measure]:
+    """The bisecting midpoints (xi_v, xi_h) of ``geo.pair``, labeled as
+    ``geo.swapped`` says: the CDF of xi_v follows mu left of v and nu
+    from v on; the quantile of xi_h follows nu below level h and mu above.
+    """
+    if geo.alphas[1] <= 1e-12 * max(1.0, geo.D):
+        raise NotBisectable(
+            "alpha_2 vanishes; the extremal midpoints are the plain glue "
+            "measures and no bisecting pair is defined"
+        )
+    mu, nu = geo.pair[::-1] if geo.swapped else geo.pair
+    return _glue_vertical(mu, nu, geo.v, geo.h), _glue_horizontal(mu, nu, geo.v, geo.h)
 
 
 def is_midpoint(xi: Measure, mu: Measure, nu: Measure, tol: float = 1e-9) -> bool:
@@ -247,10 +233,9 @@ def _probe_grid(mu: Measure, nu: Measure, deterministic: list[Measure], h: float
     return grid, [q.on_grid(grid, k) for q, k in zip(quantiles, ks)]
 
 
-def midpoint_diameter_probe(
-    mu: Measure, nu: Measure, trials: int = 2000, seed: int = 0
-) -> ProbeResult:
-    """Lower-bound the diameter of the midpoint set by sampling it.
+def midpoint_diameter_probe(geo: MidpointGeometry, trials: int = 2000, seed: int = 0) -> ProbeResult:
+    """Lower-bound the diameter of the midpoint set of ``geo.pair`` by
+    sampling it.
 
     Midpoints are exactly the measures whose quantile lies between the
     pointwise envelopes of Q_mu and Q_nu and whose distance to mu is
@@ -261,16 +246,13 @@ def midpoint_diameter_probe(
     glue constructions, so for adjacent pairs the known extremal pair is
     always in the pool.
     """
-    D = _pair_distance(mu, nu)
-    h = _half_area_point(mu.quantile, nu.quantile)
-    v = _half_area_point(*_cdf_pair(mu, nu))
-
+    (mu, nu), D, v, h = geo.pair, geo.D, geo.v, geo.h
     deterministic: list[Measure] = [geodesic_point(mu, nu, 0.5)]
     for a, b in ((mu, nu), (nu, mu)):
         for builder in (_glue_vertical, _glue_horizontal):
             try:
                 cand = builder(a, b, v, h)
-            except Exception:
+            except NotMonotone:
                 continue
             if is_midpoint(cand, mu, nu, tol=1e-9):
                 deterministic.append(cand)

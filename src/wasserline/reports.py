@@ -1,14 +1,16 @@
 """Row-level results and aggregated verification reports.
 
-Rows serialize to CSV with a fixed column order and repr() floats
-(shortest round-trip form), so a report is byte-identical across runs
-with the same seed.  Aggregation normalizes each row's error by its own
-tolerance; a report therefore passes exactly when max_violation <= 1,
-and exact rows (tolerance zero) pass only at error zero.
+Rows serialize to CSV with a fixed column order, repr() floats
+(shortest round-trip form) and the quantity quoted when it holds a
+comma, so a report is byte-identical across runs with the same seed.
+Aggregation normalizes each row's error by its own tolerance; a report
+therefore passes exactly when max_violation <= 1, and exact rows
+(tolerance zero) pass only at error zero.
 """
 
 from __future__ import annotations
 
+import csv
 import io
 from dataclasses import dataclass, field
 
@@ -70,12 +72,12 @@ def exact_row(claim_id, trial, quantity, ok: bool) -> ReportRow:
 
 def rows_to_csv(rows: list[ReportRow]) -> str:
     buf = io.StringIO()
-    buf.write("claim_id,trial,quantity,expected,measured,abs_err,passed\n")
-    for r in rows:
-        buf.write(
-            f"{r.claim_id},{r.trial},{r.quantity},{r.expected!r},"
-            f"{r.measured!r},{r.abs_err!r},{str(r.passed).lower()}\n"
-        )
+    out = csv.writer(buf, lineterminator="\n")
+    out.writerow(["claim_id", "trial", "quantity", "expected", "measured", "abs_err", "passed"])
+    out.writerows(
+        (r.claim_id, r.trial, r.quantity, repr(r.expected), repr(r.measured), repr(r.abs_err), str(r.passed).lower())
+        for r in rows
+    )
     return buf.getvalue()
 
 

@@ -205,8 +205,7 @@ def suite_midpoint_geometry(trials: int, seed: int) -> Rows:
         rows.append(row(cid, t, "alpha2=alpha4", a2, a4, 1e-10))
         rows.append(row(cid, t, "alpha1+alpha2=D/2", 0.5 * geo.D, a1 + a2, 1e-10))
         try:
-            xi_v = midpoints.bisecting_vertical(mu, nu)
-            xi_h = midpoints.bisecting_horizontal(mu, nu)
+            xi_v, xi_h = midpoints.bisecting_pair(geo)
         except NotBisectable:
             continue
         half = 0.5 * geo.D
@@ -227,9 +226,8 @@ def suite_midpoint_geometry(trials: int, seed: int) -> Rows:
         witness = midpoints.is_adjacent(mu, nu)
         rows.append(exact_row(cid, j, "adjacent-witness", witness is not None))
         rows.append(row(cid, j, "adjacent-alpha2=D/4", 0.25 * geo.D, geo.alphas[1], 1e-10))
-        xi_v = midpoints.bisecting_vertical(mu, nu)
-        xi_h = midpoints.bisecting_horizontal(mu, nu)
-        probe = midpoints.midpoint_diameter_probe(mu, nu, trials=50, seed=seed + j)
+        xi_v, xi_h = midpoints.bisecting_pair(geo)
+        probe = midpoints.midpoint_diameter_probe(geo, trials=50, seed=seed + j)
         rows.append(row(cid, j, "probe-plateau=D/2", 0.5 * geo.D, probe.lower_bound_found, 1e-9))
         rows.append(exact_row(
             cid, j, "probe-argmax-is-bisecting-pair",
@@ -256,8 +254,7 @@ def suite_dirac_characterization(trials: int, seed: int) -> Rows:
             mu, nu = cert
             rows.append(exact_row(cid, t, f"cert-adjacent@n={n}", midpoints.is_adjacent(mu, nu) is not None))
             rows.append(row(cid, t, f"cert-distance@n={n}", float(n), wasserstein_distance(mu, nu, 1.0), 1e-9))
-            xi_v = midpoints.bisecting_vertical(mu, nu)
-            xi_h = midpoints.bisecting_horizontal(mu, nu)
+            xi_v, xi_h = midpoints.bisecting_pair(midpoints.midpoint_geometry(mu, nu))
             near = min(wasserstein_distance(eta, xi_v, 1.0), wasserstein_distance(eta, xi_h, 1.0))
             rows.append(bound_row(cid, t, f"eta-is-bisecting@n={n}", 0.0, near, 1e-9))
     for j in range(trials):

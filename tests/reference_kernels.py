@@ -7,7 +7,10 @@ multi-way merge replaced, kept as differential oracles.  The last section
 keeps the bodies that the one-home helpers of ``wasserline.plf`` replaced:
 the M_n projection by bisection with its own power cells, the geodesic
 range with its own node layout, the junction shift with its own
-empty-cell drop and the midpoint geometry with its own envelopes.
+empty-cell drop and the midpoint geometry with its own envelopes (which
+now also records its pair).  After it come the bisecting measures and the
+opening of the diameter probe from before ``midpoints.bisecting_pair`` and
+the probe read one ``MidpointGeometry``: each analysed its pair again.
 
 The array versions in ``wasserline.plf`` and ``wasserline.measures`` must
 reproduce these bit for bit (W1 cells excepted, which are now computed
@@ -31,14 +34,16 @@ from wasserline.errors import (
     EqualEndpoints,
     InvalidP,
     NonPositiveWeight,
+    NotBisectable,
     PositionOutOfRange,
     ScopeMismatch,
     WeightSumOutOfTolerance,
 )
 from wasserline.measures import WEIGHT_TOL, Domain, Measure
-from wasserline.metric import MonotoneRange, check_order, wasserstein_distance
+from wasserline.metric import MonotoneRange, check_order, geodesic_point, wasserstein_distance
 from wasserline.interval import _check_level_index, _require_unit, mn_element
-from wasserline.midpoints import MidpointGeometry, _cdf_pair, _half_area_point
+from wasserline.midpoints import MidpointGeometry, _cdf_pair, _glue_horizontal, _glue_vertical, is_midpoint
+from wasserline.midpoints import _half_area_point as _crossed_half_area_point
 
 
 # ----------------------------------------------------------------------
@@ -473,6 +478,11 @@ def _require_pair(mu: Measure, nu: Measure) -> None:
         raise EqualEndpoints("midpoint geometry needs two distinct measures")
 
 
+def _half_area_point(f: PLF, g: PLF) -> float:
+    """The old ``midpoints._half_area_point``, which crossed its pair itself."""
+    return _crossed_half_area_point(*_with_crossings(f, g))
+
+
 def midpoint_geometry(mu: Measure, nu: Measure) -> MidpointGeometry:
     _require_pair(mu, nu)
     D = wasserstein_distance(mu, nu, 1.0)
@@ -497,4 +507,65 @@ def midpoint_geometry(mu: Measure, nu: Measure) -> MidpointGeometry:
     margin_keep = min(h - fm.eval(v), fn.left_limit(v) - h)
     margin_swap = min(h - fn.eval(v), fm.left_limit(v) - h)
     swapped = margin_swap > margin_keep
-    return MidpointGeometry(D, v, h, (a1, a2, a3, a4), swapped)
+    return MidpointGeometry(D, v, h, (a1, a2, a3, a4), swapped, (mu, nu))
+
+
+# ----------------------------------------------------------------------
+# the midpoint constructions that each analysed their pair again
+
+
+def _pair_distance(mu: Measure, nu: Measure) -> float:
+    """d_1 of two distinct measures on one domain."""
+    if mu.domain is not nu.domain:
+        raise DomainMismatch("midpoint geometry needs one common domain")
+    if mu == nu:
+        raise EqualEndpoints("midpoint geometry needs two distinct measures")
+    D = wasserstein_distance(mu, nu, 1.0)
+    if D == 0.0:
+        raise EqualEndpoints("measures coincide")
+    return D
+
+
+def _oriented(mu: Measure, nu: Measure, geo: MidpointGeometry) -> tuple[Measure, Measure]:
+    return (nu, mu) if geo.swapped else (mu, nu)
+
+
+def _check_bisectable(geo: MidpointGeometry) -> None:
+    if geo.alphas[1] <= 1e-12 * max(1.0, geo.D):
+        raise NotBisectable(
+            "alpha_2 vanishes; the extremal midpoints are the plain glue "
+            "measures and no bisecting pair is defined"
+        )
+
+
+def bisecting_vertical(mu: Measure, nu: Measure) -> Measure:
+    """The midpoint whose CDF follows mu left of v and nu from v on."""
+    geo = midpoint_geometry(mu, nu)
+    _check_bisectable(geo)
+    return _glue_vertical(*_oriented(mu, nu, geo), geo.v, geo.h)
+
+
+def bisecting_horizontal(mu: Measure, nu: Measure) -> Measure:
+    """The midpoint whose quantile follows nu below level h and mu above."""
+    geo = midpoint_geometry(mu, nu)
+    _check_bisectable(geo)
+    return _glue_horizontal(*_oriented(mu, nu, geo), geo.v, geo.h)
+
+
+def probe_preamble(mu: Measure, nu: Measure) -> tuple[float, float, float, list[Measure]]:
+    """The opening of the old ``midpoints.midpoint_diameter_probe``: D, v, h
+    and the deterministic candidates it handed to ``_probe_grid``."""
+    D = _pair_distance(mu, nu)
+    h = _half_area_point(mu.quantile, nu.quantile)
+    v = _half_area_point(*_cdf_pair(mu, nu))
+
+    deterministic: list[Measure] = [geodesic_point(mu, nu, 0.5)]
+    for a, b in ((mu, nu), (nu, mu)):
+        for builder in (_glue_vertical, _glue_horizontal):
+            try:
+                cand = builder(a, b, v, h)
+            except Exception:
+                continue
+            if is_midpoint(cand, mu, nu, tol=1e-9):
+                deterministic.append(cand)
+    return D, v, h, deterministic

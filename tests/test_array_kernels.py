@@ -1,8 +1,10 @@
 """The array kernels against their loop- and tuple-based predecessors,
 ``PLF.padded_inverse`` against the four copies it replaced, and the
 merge-indexed common grid and sorted-key segment search against the
-searched grid they replaced, and the users of the one-home helpers of
-``wasserline.plf`` against the bodies those replaced.
+searched grid they replaced, the users of the one-home helpers of
+``wasserline.plf`` against the bodies those replaced, and the bisecting
+pair and the diameter probe, which read one ``MidpointGeometry``, against
+the code that analysed each pair again per call.
 
 ``reference_kernels`` keeps the replaced code verbatim; every output here
 must match it bit for bit (signs of zeros included), except W1 cells,
@@ -55,8 +57,7 @@ from wasserline.metric import geodesic_point
 from wasserline.midpoints import (
     _cdf_pair,
     _probe_grid,
-    bisecting_horizontal,
-    bisecting_vertical,
+    bisecting_pair,
     is_adjacent,
     midpoint_diameter_probe,
 )
@@ -651,7 +652,7 @@ def test_probe_grid_matches_the_union_grid(mu, nu, data):
 def test_midpoint_probe_matches_the_union_grid(mu, nu, seed):
     def probe():
         try:
-            return midpoint_diameter_probe(mu, nu, trials=16, seed=seed)
+            return midpoint_diameter_probe(midpoint_geometry(mu, nu), trials=16, seed=seed)
         except EqualEndpoints as e:
             return type(e)
 
@@ -890,7 +891,7 @@ def test_dirac_certificate_matches_its_own_empty_cell_drop(case):
         lo, hi = got
         assert is_adjacent(lo, hi) is not None
         assert wasserstein_distance(lo, hi, 1.0) == pytest.approx(n, abs=1e-12)
-        bisectors = (bisecting_vertical(lo, hi), bisecting_horizontal(lo, hi))
+        bisectors = bisecting_pair(midpoint_geometry(lo, hi))
         assert min(wasserstein_distance(eta, xi, 1.0) for xi in bisectors) <= 1e-12
     elif want is None:
         assert got is None
@@ -907,3 +908,35 @@ def test_midpoint_geometry_matches_its_own_envelopes(pair):
     else:
         assert same_bits([got.D, got.v, got.h, *got.alphas], [want.D, want.v, want.h, *want.alphas])
         assert got.swapped == want.swapped
+        assert got.pair[0] is pair[0] and got.pair[1] is pair[1]
+
+
+def _adjacent_pairs():
+    return st.integers(0, 2**32 - 1).map(lambda s: sampling.random_adjacent_pair(np.random.default_rng(s)))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.one_of(
+    st.tuples(unit_measures(), unit_measures()), st.tuples(real_measures(), real_measures()), _adjacent_pairs()
+))
+def test_bisecting_pair_and_probe_match_the_old_per_call_analysis(pair):
+    got = _outcome(lambda mu, nu: bisecting_pair(midpoint_geometry(mu, nu)), *pair)
+    want = _outcome(lambda mu, nu: (ref.bisecting_vertical(mu, nu), ref.bisecting_horizontal(mu, nu)), *pair)
+    if isinstance(want, type):
+        assert got is want
+    else:
+        assert all(same_measure(a, b) for a, b in zip(got, want))
+
+    # the probe hands _probe_grid the candidates and the level the old
+    # opening computed, and brackets with the same D
+    seen = []
+    with mock.patch("wasserline.midpoints._probe_grid", side_effect=lambda *a: seen.append(a) or _probe_grid(*a)):
+        got = _outcome(lambda mu, nu: midpoint_diameter_probe(midpoint_geometry(mu, nu), trials=4), *pair)
+    want = _outcome(ref.probe_preamble, *pair)
+    if isinstance(want, type):
+        assert got is want
+    else:
+        D, _, h, deterministic = want
+        (mu, nu, cands, level), = seen
+        assert mu is pair[0] and nu is pair[1] and same_bits(level, h) and got.theoretical == (0.5 * D, D)
+        assert len(cands) == len(deterministic) and all(same_measure(a, b) for a, b in zip(cands, deterministic))

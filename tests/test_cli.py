@@ -3,6 +3,7 @@ reports, and generator payloads."""
 
 from __future__ import annotations
 
+import csv
 import json
 import subprocess
 import sys
@@ -187,6 +188,16 @@ def test_verify_streams_csv_without_out_file(capsys):
     out = capsys.readouterr().out
     assert out.startswith("claim_id,trial,quantity,expected,measured,abs_err,passed")
     assert "PASS klein-relations:" in out
+
+
+def test_verify_csv_reads_seven_fields_per_row(tmp_path):
+    # ladder-bound quantities such as dist<=bound@n=0,p=1.5 hold a comma
+    out = tmp_path / "ladder.csv"
+    assert main(["verify", "ladder-bound", "--trials", "1", "--out", str(out)]) == 0
+    with open(out, newline="", encoding="utf-8") as fh:
+        rows = list(csv.reader(fh))
+    assert len(rows) > 1 and {len(r) for r in rows} == {7}
+    assert any("," in r[2] for r in rows[1:])
 
 
 def test_verify_seed_changes_the_rows(tmp_path):

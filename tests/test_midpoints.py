@@ -3,6 +3,8 @@ measures, adjacency detection, the diameter probe, and Dirac certificates."""
 
 from __future__ import annotations
 
+from unittest import mock
+
 import numpy as np
 import pytest
 
@@ -11,8 +13,8 @@ from wasserline import (
     DomainMismatch,
     EqualEndpoints,
     NotBisectable,
-    bisecting_horizontal,
-    bisecting_vertical,
+    NotMonotone,
+    bisecting_pair,
     dirac_certificate,
     from_atoms,
     geodesic_point,
@@ -20,9 +22,11 @@ from wasserline import (
     is_midpoint,
     midpoint_diameter_probe,
     midpoint_geometry,
+    run_suite,
     sampling,
     wasserstein_distance,
 )
+from wasserline import midpoints
 from conftest import dirac
 
 
@@ -81,8 +85,7 @@ def test_quadrant_identities_on_random_pairs():
 
 def test_dirac_pair_bisecting_measures():
     # vertical split gives the halfway Dirac; horizontal gives the balanced mix
-    xi_v = bisecting_vertical(dirac(0.0), dirac(1.0))
-    xi_h = bisecting_horizontal(dirac(0.0), dirac(1.0))
+    xi_v, xi_h = bisecting_pair(midpoint_geometry(dirac(0.0), dirac(1.0)))
     assert xi_v.atoms() == [(0.5, 1.0)]
     assert xi_h.atoms() == [(0.0, 0.5), (1.0, 0.5)]
     assert wasserstein_distance(xi_v, xi_h, 1.0) == 0.5  # exactly D/2
@@ -95,8 +98,7 @@ def test_bisecting_measures_are_midpoints_with_bracketed_gap():
         mu = sampling.random_discrete_measure(rng, max_atoms=6)
         nu = sampling.random_real_measure(rng)
         try:
-            xi_v = bisecting_vertical(mu, nu)
-            xi_h = bisecting_horizontal(mu, nu)
+            xi_v, xi_h = bisecting_pair(midpoint_geometry(mu, nu))
         except NotBisectable:
             continue
         seen += 1
@@ -111,9 +113,7 @@ def test_bisecting_measures_are_midpoints_with_bracketed_gap():
 def test_staircase_pair_is_not_bisectable():
     mu, nu = staircase_pair()
     with pytest.raises(NotBisectable):
-        bisecting_vertical(mu, nu)
-    with pytest.raises(NotBisectable):
-        bisecting_horizontal(mu, nu)
+        bisecting_pair(midpoint_geometry(mu, nu))
 
 
 def test_staircase_glue_midpoints_realize_the_full_diameter():
@@ -125,7 +125,7 @@ def test_staircase_glue_midpoints_realize_the_full_diameter():
     assert is_midpoint(glue_outer, mu, nu)
     assert is_midpoint(glue_inner, mu, nu)
     assert wasserstein_distance(glue_outer, glue_inner, 1.0) == 1.0
-    probe = midpoint_diameter_probe(mu, nu, trials=40, seed=1)
+    probe = midpoint_diameter_probe(midpoint_geometry(mu, nu), trials=40, seed=1)
     assert probe.lower_bound_found == pytest.approx(1.0, abs=1e-9)
     assert probe.theoretical == (0.5, 1.0)  # the (D/2, D) bracket
 
@@ -185,9 +185,8 @@ def test_adjacent_pair_probe_plateaus_at_half_distance():
     rng = np.random.default_rng(103)
     mu, nu = sampling.random_adjacent_pair(rng)
     geo = midpoint_geometry(mu, nu)
-    xi_v = bisecting_vertical(mu, nu)
-    xi_h = bisecting_horizontal(mu, nu)
-    probe = midpoint_diameter_probe(mu, nu, trials=60, seed=5)
+    xi_v, xi_h = bisecting_pair(geo)
+    probe = midpoint_diameter_probe(geo, trials=60, seed=5)
     assert probe.lower_bound_found == pytest.approx(0.5 * geo.D, abs=1e-9 * (1.0 + geo.D))
     best_a, best_b = probe.best_pair
     direct = max(
@@ -201,10 +200,34 @@ def test_adjacent_pair_probe_plateaus_at_half_distance():
 
 def test_probe_is_deterministic():
     mu, nu = sampling.random_adjacent_pair(np.random.default_rng(107))
-    one = midpoint_diameter_probe(mu, nu, trials=30, seed=9)
-    two = midpoint_diameter_probe(mu, nu, trials=30, seed=9)
+    one = midpoint_diameter_probe(midpoint_geometry(mu, nu), trials=30, seed=9)
+    two = midpoint_diameter_probe(midpoint_geometry(mu, nu), trials=30, seed=9)
     assert one.lower_bound_found == two.lower_bound_found
     assert one.best_pair[0] == two.best_pair[0] and one.best_pair[1] == two.best_pair[1]
+
+
+def test_probe_skips_only_a_decreasing_glue():
+    geo = midpoint_geometry(*sampling.random_adjacent_pair(np.random.default_rng(107)))
+    with mock.patch("wasserline.midpoints._glue_horizontal", side_effect=NotMonotone("seam")):
+        assert midpoint_diameter_probe(geo, trials=4).trials == 4
+    with mock.patch("wasserline.midpoints._glue_horizontal", side_effect=ValueError("not a seam")):
+        with pytest.raises(ValueError, match="not a seam"):
+            midpoint_diameter_probe(geo, trials=4)
+
+
+@pytest.mark.parametrize("suite_id", ["midpoint-geometry", "dirac-characterization"])
+def test_suites_analyse_each_pair_once(suite_id):
+    # the bisecting pair and the probe read the suite's one geometry
+    calls = []
+    analyse = midpoints.midpoint_geometry
+
+    def counted(mu, nu):
+        calls.append((mu, nu))
+        return analyse(mu, nu)
+
+    with mock.patch("wasserline.midpoints.midpoint_geometry", counted):
+        run_suite(suite_id, 5, 0)
+    assert calls and len(calls) == len({(id(mu), id(nu)) for mu, nu in calls})
 
 
 # ----------------------------------------------------------------------

@@ -20,11 +20,11 @@ SUITE_CSV_SHA256 = {
     "distance-oracle": "d0aca2dc7e061022d16ba3e5355cd655e9a2d4a3a4bf2b012cfd8c318775875e",
     "slice-diameter": "835bfaed55d031a8259823c3ad8b26eb4c988434de1b52527ebceeb2f7516320",
     "klein-relations": "6c750573b2926ffb12f9b085efb9b61ab4d11c04e5214f1a2570d1c98941c4a6",
-    "ladder-bound": "1763e310d1123ca891e983852592bc979041b2a1678ddefcf8bd02cfe5758d23",
-    "midpoint-geometry": "db74aae31723f5cba6597defb02f5eed6a2b6f9c1b4d9ea7ed14da1aad08352a",
+    "ladder-bound": "df52efa222266e2a51973577ad78500bbc4dc417a41f9960d376885640322a50",
+    "midpoint-geometry": "cf272a6249f9245155fddac6f5f87454a46a6641c31de9b4593b8e634da8f569",
     "dirac-characterization": "d34f5352ae90065897fe3433233b994eb44737792be36093b31c1283e72d8a52",
     "exotic-flow": "78f3d3b22bf273b4017e2f898ab60e6bd8a0a2acb28559a0fbef1c0b88276d27",
-    "embedding-gallery": "83467b24a54e8a403a8bec5cb8b428e622461fd5308e5639cc52352c9b460d8a",
+    "embedding-gallery": "87d66a797978ee4369cbcb6e3b70aa00957a604a422c2e214d8232c68856a3fa",
     "cdf-recovery": "477df8cccd54df16a66b85113f02e96389fcc8d69c72192d365159f4e66cee33",
 }
 

@@ -8,11 +8,21 @@ files) written by ``perfbench/run.py``.  Records pair up by workload and
 seed; a seed run on one side only is left out.  Per workload and
 end-to-end metric the file holds each side's median, quartiles and IQR
 (``statistics.quantiles(values, n=4)``, as ``perfbench/spread.py``
-computes them), the relative change of the median, and in how many pairs
-the change was the better side; traced records (``--trace 1``) add each
-side's per-layer medians (every counter the trace table holds, as totals
-over that run's steps).  The commits, source digests, seeds,
-``run_seconds`` and the host come from the records' stamps.
+computes them), the relative change of the median, in how many pairs
+the change was the better side, and a status read from those runs:
+
+    worse         the change's median is worse than the parent's by more
+                  than the metric's bound (relative to the parent's median)
+    unresolved    the parent's IQR exceeds bound x its median, and not every
+                  change run beats every parent run
+    better        the change wins at least 9 of 10 pairs, and its median
+                  beats the parent's by more than the parent's IQR
+    within_bound  any other case
+
+The first rule that holds gives the status.  Traced records (``--trace
+1``) add each side's per-layer medians (every counter the trace table
+holds, as totals over that run's steps).  The commits, source digests,
+seeds, ``run_seconds`` and the host come from the records' stamps.
 """
 
 from __future__ import annotations
@@ -38,6 +48,21 @@ def _records(paths: list[str]) -> dict[tuple[str, int, int], dict]:
 def _spread(values: list[float]) -> dict:
     q1, med, q3 = statistics.quantiles(values, n=4) if len(values) > 1 else values * 3
     return {"median": statistics.median(values), "q1": q1, "q3": q3, "iqr": q3 - q1, "runs": values}
+
+
+def _status(parent: dict, change: dict, wins: int, bound: float, lower: bool) -> str:
+    """worse, unresolved, better or within_bound, from two ``_spread``s and
+    the number of pairs the change won."""
+    s = 1.0 if lower else -1.0  # s * value grows as the metric gets worse
+    gap = s * (parent["median"] - change["median"])  # > 0: the change is better
+    if -gap > bound * parent["median"]:
+        return "worse"
+    every = max(s * y for y in change["runs"]) < min(s * x for x in parent["runs"])
+    if parent["iqr"] > bound * parent["median"] and not every:
+        return "unresolved"
+    if wins >= 0.9 * len(parent["runs"]) and gap > parent["iqr"]:
+        return "better"
+    return "within_bound"
 
 
 def _one(recs: list[dict], key: str) -> list:
@@ -75,12 +100,15 @@ def build(pr: int, parent: dict, change: dict, note: str) -> dict:
                 a = [parent[k]["metrics"][name] for k in timed]
                 b = [change[k]["metrics"][name] for k in timed]
                 lower = spec["better"] == "lower"
+                pa, pb = _spread(a), _spread(b)
+                wins = sum((y < x) if lower else (y > x) for x, y in zip(a, b))
                 entry["metrics"][name] = {
                     "unit": spec["unit"], "better": spec["better"], "bound": spec["bound"],
-                    "parent": _spread(a), "change": _spread(b),
-                    "relative_change": statistics.median(b) / statistics.median(a) - 1.0,
-                    "change_better_pairs": sum((y < x) if lower else (y > x) for x, y in zip(a, b)),
+                    "parent": pa, "change": pb,
+                    "relative_change": pb["median"] / pa["median"] - 1.0,
+                    "change_better_pairs": wins,
                     "pairs": len(timed),
+                    "status": _status(pa, pb, wins, spec["bound"], lower),
                 }
         traced = [k for k in pairs if k[0] == workload and k[2] == 1]
         if traced:
