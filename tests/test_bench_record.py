@@ -33,6 +33,7 @@ def status(parent: list[float], change: list[float], lower: bool = True, bound: 
         (NOISY, NOISY[::-1], True, "unresolved"),
         (NOISY, [55.0] * 10, True, "within_bound"),  # every run beats every parent run, gap below the IQR
         (NOISY, [20.0] * 10, True, "better"),
+        (STEADY[:9], [0.8 * x for x in STEADY[:9]], True, "within_bound"),  # fewer than ten pairs
     ],
 )
 def test_status_rules(parent, change, lower, want):

@@ -218,16 +218,10 @@ def test_probe_skips_only_a_decreasing_glue():
 @pytest.mark.parametrize("suite_id", ["midpoint-geometry", "dirac-characterization"])
 def test_suites_analyse_each_pair_once(suite_id):
     # the bisecting pair and the probe read the suite's one geometry
-    calls = []
-    analyse = midpoints.midpoint_geometry
-
-    def counted(mu, nu):
-        calls.append((mu, nu))
-        return analyse(mu, nu)
-
-    with mock.patch("wasserline.midpoints.midpoint_geometry", counted):
+    with mock.patch("wasserline.midpoints.midpoint_geometry", wraps=midpoints.midpoint_geometry) as analyse:
         run_suite(suite_id, 5, 0)
-    assert calls and len(calls) == len({(id(mu), id(nu)) for mu, nu in calls})
+    pairs = [c.args for c in analyse.call_args_list]
+    assert pairs and len(pairs) == len({(id(mu), id(nu)) for mu, nu in pairs})
 
 
 # ----------------------------------------------------------------------

@@ -15,8 +15,8 @@ the change was the better side, and a status read from those runs:
                   than the metric's bound (relative to the parent's median)
     unresolved    the parent's IQR exceeds bound x its median, and not every
                   change run beats every parent run
-    better        the change wins at least 9 of 10 pairs, and its median
-                  beats the parent's by more than the parent's IQR
+    better        of at least ten pairs the change wins 9 in 10, and its
+                  median beats the parent's by more than the parent's IQR
     within_bound  any other case
 
 The first rule that holds gives the status.  Traced records (``--trace
@@ -60,7 +60,8 @@ def _status(parent: dict, change: dict, wins: int, bound: float, lower: bool) ->
     every = max(s * y for y in change["runs"]) < min(s * x for x in parent["runs"])
     if parent["iqr"] > bound * parent["median"] and not every:
         return "unresolved"
-    if wins >= 0.9 * len(parent["runs"]) and gap > parent["iqr"]:
+    pairs = len(parent["runs"])
+    if pairs >= 10 and wins >= 0.9 * pairs and gap > parent["iqr"]:
         return "better"
     return "within_bound"
 
