@@ -64,17 +64,12 @@ from .isometries import (
     SplitEmbedding,
     Translation,
     Trivial,
-    admissible_domains,
     apply,
-    describe,
     exotic_apply_discrete,
     exotic_apply_grid,
     h_q_eval,
     h_q_inverse,
     isometry_from_json,
-    isometry_to_json,
-    natural_orders,
-    split_embedding_apply,
     verify_isometry,
 )
 from .interval import (

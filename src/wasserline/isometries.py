@@ -3,18 +3,18 @@
 Each descriptor is a small frozen dataclass that owns its behaviour:
 its JSON ``kind``, the input ``domains`` it accepts (it maps each of
 them into itself), the ``orders`` at which it is a genuine isometry,
-and ``apply``, ``describe``, ``to_json`` and ``from_json``.  The
-module-level functions ``apply``, ``describe``, ``admissible_domains``,
-``natural_orders``, ``isometry_to_json`` and ``isometry_from_json`` are
-one-line entry points, and ``_KINDS`` maps each JSON kind to its class.
-``verify_isometry`` measures how well a descriptor preserves distances
-at a requested order p over random trials.
+and ``apply``, ``describe``, ``to_json`` and ``from_json``; callers
+read them off the descriptor.  Two functions sit beside them:
+``apply``, which a composition applies its items through, and
+``isometry_from_json``, the one dispatch over ``_KINDS`` (JSON kind to
+class).  ``verify_isometry`` measures how well a descriptor preserves
+distances at an order p.
 
 Scope is two-sided.  Domain scope is enforced by ``apply`` (a flip of a
 real-line measure has no meaning and raises ScopeMismatch).  Order
 scope is deliberately *not* enforced: every descriptor has the orders
-at which it is a genuine isometry (``natural_orders``), but the
-verifier will happily run Phi^q at p = 1 and report the honest failure.
+at which it is a genuine isometry (``orders``), but the verifier will
+happily run Phi^q at p = 1 and report the honest failure.
 """
 
 from __future__ import annotations
@@ -61,9 +61,10 @@ def _check_q(q: float) -> float:
 
 
 class _Descriptor:
-    """Defaults: a real-line map, isometric at every order p >= 1
-    (``orders`` None), described by its kind, with its dataclass fields
-    as JSON."""
+    """Defaults: a real-line map, isometric at every order p >= 1,
+    described by its kind, with its dataclass fields as JSON.
+    ``orders`` is a frozenset of orders, or None for every p >= 1; it
+    is informational and nothing gates on it."""
 
     kind = ""
     domains = _REAL
@@ -227,7 +228,21 @@ class SplitEmbedding(_Descriptor):
         return cls(PLF(np.array([-1.0, 1.0]), np.array([_THIRD]), np.array([_TWO_THIRDS])))
 
     def apply(self, mu: Measure) -> Measure:
-        return split_embedding_apply(self, mu)
+        q = self._in_scope(mu).quantile
+        # a level cell narrower than an ulp of its image band rounds to zero
+        # width under x -> x/3 or x -> (x + 2)/3 and is dropped
+        low = q.minimum(0.0)
+        lowb = low.breaks / 3.0
+        lowb[0] = 0.0
+        lowb[-1] = _THIRD
+        low_piece = _without_empty_cells(lowb, 3.0 * low.yl - 1.0, 3.0 * low.yr - 1.0)
+        high = q.maximum(0.0)
+        highb = (high.breaks + 2.0) / 3.0
+        highb[0] = _TWO_THIRDS
+        highb[-1] = 1.0
+        high_piece = _without_empty_cells(highb, 3.0 * high.yl + 1.0, 3.0 * high.yr + 1.0)
+        middle = self.profile.padded_inverse(_THIRD, _TWO_THIRDS)
+        return Measure(Domain.REAL_LINE, concat_plfs([low_piece, middle, high_piece]))
 
     def to_json(self) -> dict:
         pr = self.profile
@@ -292,30 +307,8 @@ _KINDS = {cls.kind: cls for cls in IsometryDescriptor.__args__}
 # entry points
 
 
-def admissible_domains(iso) -> frozenset:
-    """Input domains a measure may have for ``apply(iso, .)`` to succeed."""
-    return iso.domains
-
-
-def natural_orders(iso):
-    """Orders p at which the descriptor is an actual isometry.
-
-    Returns ``None`` for "every p >= 1", otherwise a frozenset.  Purely
-    informational; nothing gates on it.
-    """
-    return iso.orders
-
-
 def apply(iso, mu: Measure) -> Measure:
     return iso.apply(mu)
-
-
-def describe(iso) -> str:
-    return iso.describe()
-
-
-def isometry_to_json(iso) -> dict:
-    return iso.to_json()
 
 
 def isometry_from_json(data: dict):
@@ -412,29 +405,6 @@ def exotic_apply_grid(mu: Measure, q: float, grid_size: int) -> list[tuple[float
 
 
 # ----------------------------------------------------------------------
-# the split embedding
-
-
-def split_embedding_apply(emb: SplitEmbedding, mu: Measure) -> Measure:
-    """The image of a real-line measure under ``emb``; see SplitEmbedding."""
-    q = emb._in_scope(mu).quantile
-    # a level cell narrower than an ulp of its image band rounds to zero
-    # width under x -> x/3 or x -> (x + 2)/3 and is dropped
-    low = q.minimum(0.0)
-    lowb = low.breaks / 3.0
-    lowb[0] = 0.0
-    lowb[-1] = _THIRD
-    low_piece = _without_empty_cells(lowb, 3.0 * low.yl - 1.0, 3.0 * low.yr - 1.0)
-    high = q.maximum(0.0)
-    highb = (high.breaks + 2.0) / 3.0
-    highb[0] = _TWO_THIRDS
-    highb[-1] = 1.0
-    high_piece = _without_empty_cells(highb, 3.0 * high.yl + 1.0, 3.0 * high.yr + 1.0)
-    middle = emb.profile.padded_inverse(_THIRD, _TWO_THIRDS)
-    return Measure(Domain.REAL_LINE, concat_plfs([low_piece, middle, high_piece]))
-
-
-# ----------------------------------------------------------------------
 # verification
 
 
@@ -448,11 +418,11 @@ def verify_isometry(iso, p: float, trials: int = 200, seed: int = 0) -> Verifica
     unsatisfiable domain scope raises.
     """
     p = check_order(p)
-    doms = admissible_domains(iso)
+    doms = iso.domains
     if not doms:
         raise ScopeMismatch("no input domain can pass through this composition")
     dom = Domain.REAL_LINE if Domain.REAL_LINE in doms else Domain.UNIT_INTERVAL
-    claim_id = f"isometry:{describe(iso)}@p={p:g}"
+    claim_id = f"isometry:{iso.describe()}@p={p:g}"
     rows = []
     for trial in range(int(trials)):
         rng = rng_for(seed, trial)

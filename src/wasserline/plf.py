@@ -470,8 +470,8 @@ def _envelope(F: PLF, G: PLF, extreme) -> PLF:
     return PLF._trusted(F.breaks, extreme(F.yl, G.yl), extreme(F.yr, G.yr))
 
 
-def plf_combine(fns: list[PLF], coeffs, shift: float = 0.0) -> PLF:
-    """sum_i coeffs[i] * fns[i] + shift on the common grid.
+def plf_combine(fns: list[PLF], coeffs) -> PLF:
+    """sum_i coeffs[i] * fns[i] on the common grid.
 
     Nonnegative coefficients keep monotonicity automatically.  Signed
     combinations (geodesic extrapolation) can produce one-ulp decreases
@@ -481,8 +481,8 @@ def plf_combine(fns: list[PLF], coeffs, shift: float = 0.0) -> PLF:
         raise ValueError("need one coefficient per function")
     grid, *ks = common_grid(*fns)
     coeffs = np.asarray(coeffs, dtype=np.float64)
-    yl = np.full(len(grid) - 1, shift)
-    yr = np.full(len(grid) - 1, shift)
+    yl = np.zeros(len(grid) - 1)
+    yr = np.zeros(len(grid) - 1)
     for c, h, k in zip(coeffs, fns, ks):
         hh = h.on_grid(grid, k)
         yl = yl + c * hh.yl
@@ -579,16 +579,8 @@ def abs_pow_cells(w, a, b, p: float) -> np.ndarray:
     return _power_cells(w, a, b, p, False)
 
 
-def abs_pow_gap(f: PLF, g: PLF, p: float, lo: float | None = None, hi: float | None = None) -> float:
-    """integral of |f - g|^p over [lo, hi], exact per cell."""
+def abs_pow_gap(f: PLF, g: PLF, p: float) -> float:
+    """integral of |f - g|^p over the domain, exact per cell."""
     F, G = on_common_grid(f, g)
-    if lo is not None or hi is not None:
-        b0, bm = F.support
-        lo = b0 if lo is None else float(lo)
-        hi = bm if hi is None else float(hi)
-        if lo == hi:
-            return 0.0
-        F = F.restrict(lo, hi)
-        G = G.restrict(lo, hi)
     w = np.diff(F.breaks)
     return float(np.sum(abs_pow_cells(w, F.yl - G.yl, F.yr - G.yr, p)))

@@ -81,11 +81,10 @@ def rows_to_csv(rows: list[ReportRow]) -> str:
     return buf.getvalue()
 
 
-def summarize(claim_id: str, rows: list[ReportRow], trials: int | None = None,
-              detail_cap: int = 50) -> VerificationReport:
+def summarize(claim_id: str, rows: list[ReportRow], trials: int) -> VerificationReport:
     """Aggregate rows into one report with tolerance-normalized violation;
-    ``details`` keeps up to ``detail_cap`` rows, failing ones first, each
-    group by decreasing abs_err."""
+    ``details`` keeps up to 50 rows, failing ones first, each group by
+    decreasing abs_err."""
     worst = 0.0
     for r in rows:
         if r.tolerance > 0.0:
@@ -95,9 +94,9 @@ def summarize(claim_id: str, rows: list[ReportRow], trials: int | None = None,
         worst = max(worst, ratio)
     return VerificationReport(
         claim_id=claim_id,
-        trials=len(rows) if trials is None else trials,
+        trials=trials,
         max_violation=worst,
         tolerance=1.0,
         passed=all(r.passed for r in rows),
-        details=tuple(sorted(rows, key=lambda r: (r.passed, -r.abs_err))[:detail_cap]),
+        details=tuple(sorted(rows, key=lambda r: (r.passed, -r.abs_err))[:50]),
     )

@@ -9,7 +9,7 @@ from __future__ import annotations
 import numpy as np
 
 from .measures import Domain, Measure, from_atoms
-from .plf import PLF, const_plf, plf_combine
+from .plf import PLF
 
 
 def rng_for(seed: int, trial: int) -> np.random.Generator:
@@ -30,16 +30,15 @@ def random_discrete_measure(
     return from_atoms(zip(pos, w), domain=domain)
 
 
-def random_unit_measure(
-    rng: np.random.Generator, max_cells: int = 6, dyadic_bits: int | None = None
-) -> Measure:
-    """Mixed-type measure on [0, 1]: flats, rising pieces and jumps.
+def random_unit_measure(rng: np.random.Generator, dyadic_bits: int | None = None) -> Measure:
+    """Mixed-type measure on [0, 1] of up to 6 cells: flats, rising
+    pieces and jumps.
 
     With ``dyadic_bits`` set, all breaks and values are multiples of
     2**-bits, so downstream identities that only shuffle or reflect the
     arrays hold bit for bit.
     """
-    m = int(rng.integers(1, max_cells + 1))
+    m = int(rng.integers(1, 7))
     breaks = np.concatenate([[0.0], np.sort(rng.uniform(0.0, 1.0, m - 1)), [1.0]])
     nodes = np.sort(rng.uniform(0.0, 1.0, 2 * m))
     if dyadic_bits is not None:
@@ -60,9 +59,9 @@ def random_unit_measure(
     return Measure(Domain.UNIT_INTERVAL, PLF(breaks, yl, yr))
 
 
-def random_real_measure(rng: np.random.Generator, max_cells: int = 6) -> Measure:
+def random_real_measure(rng: np.random.Generator) -> Measure:
     """Mixed-type measure on the line, support roughly within [-30, 30]."""
-    unit = random_unit_measure(rng, max_cells=max_cells)
+    unit = random_unit_measure(rng)
     scale = float(rng.uniform(0.5, 20.0))
     shift = float(rng.normal(0.0, 10.0))
     q = unit.quantile.map_values(scale, shift)
@@ -111,7 +110,9 @@ def random_measure_in_slice(rng: np.random.Generator, t: float) -> Measure:
     Blend a random measure nu with the extremal pair of its own slice
     coordinate so the blend lands exactly on level t:
 
-        Q = a Q_nu + b Q_d0 + c Q_d1,   a t' + c = t,  a + b + c = 1.
+        Q = a Q_nu + b Q_d0 + c Q_d1,   a t' + c = t,  a + b + c = 1,
+
+    where Q_d0 = 0 and Q_d1 = 1, so Q = a Q_nu + c.
     """
     t = float(t)
     if t in (0.0, 1.0):
@@ -125,36 +126,23 @@ def random_measure_in_slice(rng: np.random.Generator, t: float) -> Measure:
         caps.append((1.0 - t) / (1.0 - tp))
     a = float(rng.uniform(0.0, min(caps)))
     c = t - a * tp
-    b = 1.0 - a - c
-    q = plf_combine(
-        [nu.quantile, const_plf(0.0, 1.0, 0.0), const_plf(0.0, 1.0, 1.0)],
-        [a, b, c],
-    )
-    return Measure(Domain.UNIT_INTERVAL, q)
+    return Measure(Domain.UNIT_INTERVAL, nu.quantile.map_values(a, c))
 
 
-def dyadic_discrete_measure(
-    rng: np.random.Generator,
-    pos_bits: int = 6,
-    mass_bits: int = 10,
-    pos_range: tuple[int, int] = (0, 1),
-) -> Measure:
-    """Atoms on the 2**-pos_bits grid with weights k/2**mass_bits.
+def dyadic_discrete_measure(rng: np.random.Generator) -> Measure:
+    """Up to 12 atoms on [0, 1] at multiples of 2**-6, with weights k/2**10.
 
-    Weights come from an integer composition of 2**mass_bits, so they sum
-    to one exactly and every cumulative sum is an exact dyadic.
+    Weights come from an integer composition of 2**10, so they sum to
+    one exactly and every cumulative sum is an exact dyadic.
     """
-    lo, hi = pos_range
-    cells = (hi - lo) * 2**pos_bits
-    n = int(rng.integers(1, min(12, cells) + 1))
-    ticks = rng.choice(cells + 1, size=n, replace=False)
-    pos = lo + np.sort(ticks) / float(2**pos_bits)
-    total = 2**mass_bits
+    n = int(rng.integers(1, 13))
+    ticks = rng.choice(65, size=n, replace=False)
+    pos = np.sort(ticks) / 64.0
+    total = 1024
     if n == 1:
         masses = np.array([total])
     else:
         cuts = np.sort(rng.choice(np.arange(1, total), size=n - 1, replace=False))
         masses = np.diff(np.concatenate([[0], cuts, [total]]))
     w = masses / float(total)
-    domain = Domain.UNIT_INTERVAL if (lo, hi) == (0, 1) else Domain.REAL_LINE
-    return from_atoms(zip(pos, w), domain=domain)
+    return from_atoms(zip(pos, w), domain=Domain.UNIT_INTERVAL)

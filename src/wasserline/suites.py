@@ -27,7 +27,7 @@ import numpy as np
 from . import interval, midpoints
 from .errors import NotBisectable
 from .isometries import Exotic, Translation, apply as apply_isometry
-from .isometries import SplitEmbedding, exotic_apply_discrete, exotic_apply_grid, split_embedding_apply
+from .isometries import SplitEmbedding, exotic_apply_discrete, exotic_apply_grid
 from .measures import (
     DiscreteMeasure,
     Domain,
@@ -253,8 +253,9 @@ def suite_dirac_characterization(trials: int, seed: int) -> Rows:
                 continue
             mu, nu = cert
             rows.append(exact_row(cid, t, f"cert-adjacent@n={n}", midpoints.is_adjacent(mu, nu) is not None))
-            rows.append(row(cid, t, f"cert-distance@n={n}", float(n), wasserstein_distance(mu, nu, 1.0), 1e-9))
-            xi_v, xi_h = midpoints.bisecting_pair(midpoints.midpoint_geometry(mu, nu))
+            geo = midpoints.midpoint_geometry(mu, nu)
+            rows.append(row(cid, t, f"cert-distance@n={n}", float(n), geo.D, 1e-9))
+            xi_v, xi_h = midpoints.bisecting_pair(geo)
             near = min(wasserstein_distance(eta, xi_v, 1.0), wasserstein_distance(eta, xi_h, 1.0))
             rows.append(bound_row(cid, t, f"eta-is-bisecting@n={n}", 0.0, near, 1e-9))
     for j in range(trials):
@@ -373,8 +374,8 @@ def suite_embedding_gallery(trials: int, seed: int) -> Rows:
                 cid, t, f"two-point-translation-d{p:g}", d,
                 wasserstein_distance(apply_isometry(t_jump, mu), apply_isometry(t_jump, nu), p), 1e-10
             ))
-        s_mu = split_embedding_apply(emb, mu)
-        s_nu = split_embedding_apply(emb, nu)
+        s_mu = apply_isometry(emb, mu)
+        s_nu = apply_isometry(emb, nu)
         rows.append(row(
             cid, t, "split-embedding-d1", wasserstein_distance(mu, nu, 1.0),
             wasserstein_distance(s_mu, s_nu, 1.0), 1e-10

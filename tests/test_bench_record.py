@@ -1,5 +1,5 @@
 """The status ``tools/bench_record.py`` gives each workload and end-to-end
-metric of a BENCH file."""
+metric of a BENCH file, and the rejects it lists."""
 
 from __future__ import annotations
 
@@ -38,3 +38,24 @@ def status(parent: list[float], change: list[float], lower: bool = True, bound: 
 )
 def test_status_rules(parent, change, lower, want):
     assert status(parent, change, lower) == want
+
+
+def _record(workload: str, seed: int, fail_ratio: float, metrics: dict) -> dict:
+    stamp = {"workload": workload, "seed": seed, "trace": 0, "seconds": 20.0, "commit": "c", "source_sha1": "s",
+             "machine": "x86_64", "nproc": 2, "cpus_usable": 2, "platform": "p", "python": "3", "numpy": "2"}
+    return {"stamp": stamp, "headline": {"fail_ratio": [fail_ratio]}, "metrics": metrics}
+
+
+def test_rejects_name_worse_metrics_and_a_larger_fail_ratio():
+    names = ("setup_s", "peak_rss_mb", "read_ms", "build_ms", "cli_cold_ms")
+    # a: read_ms 30% worse; b: fails 1% of operations; c: unchanged
+    sides = {"a": (0.0, {"read_ms": 1.3}), "b": (0.01, {}), "c": (0.0, {})}
+    parent, change = {}, {}
+    for seed, x in enumerate(STEADY):
+        for workload, (fails, scale) in sides.items():
+            parent[(workload, seed, 0)] = _record(workload, seed, 0.0, dict.fromkeys(names, x))
+            moved = {name: scale.get(name, 1.0) * x for name in names}
+            change[(workload, seed, 0)] = _record(workload, seed, fails, moved)
+    doc = bench_record.build(10, parent, change, "")
+    assert doc["rejects"] == ["a/read_ms", "b/fail_ratio"]
+    assert doc["workloads"]["a"]["metrics"]["read_ms"]["status"] == "worse"

@@ -13,13 +13,12 @@ import pytest
 from wasserline import (
     Domain,
     SplitEmbedding,
+    apply,
     VerificationReport,
     from_atoms,
     isometry_from_json,
-    isometry_to_json,
     measure_from_json,
     measure_to_json,
-    split_embedding_apply,
     wasserstein_distance,
 )
 from wasserline.cli import main
@@ -143,19 +142,19 @@ def test_apply_split_embedding_prints_a_measure(tmp_path, capsys):
     mu = write_measure(tmp_path, "mu.json", pair)
     assert main(["apply", iso, mu]) == 0
     out = measure_from_json(json.loads(capsys.readouterr().out))
-    want = split_embedding_apply(isometry_from_json(_SPLIT), pair)
+    want = apply(isometry_from_json(_SPLIT), pair)
     assert out.domain is Domain.REAL_LINE
     assert wasserstein_distance(out, want, 1.0) <= 1e-12
 
 
 def test_apply_split_embedding_with_a_collapsing_level_cell_exits_zero(tmp_path, capsys):
     # the atom at -1 has a level cell that x -> (x + 2)/3 rounds to zero width
-    iso = write_json(tmp_path, "iso.json", isometry_to_json(SplitEmbedding.default()))
+    iso = write_json(tmp_path, "iso.json", SplitEmbedding.default().to_json())
     pair = from_atoms([(-1.0, 1e-17), (1.0, 1.0 - 1e-17)])
     mu = write_measure(tmp_path, "mu.json", pair)
     assert main(["apply", iso, mu]) == 0
     out = measure_from_json(json.loads(capsys.readouterr().out))
-    want = split_embedding_apply(SplitEmbedding.default(), pair)
+    want = apply(SplitEmbedding.default(), pair)
     assert wasserstein_distance(out, want, 1.0) <= 1e-12
 
 
@@ -230,10 +229,10 @@ def test_report_details_are_the_worst_rows_failing_first():
     rows = [row("c", t, f"q{t}", 0.0, 1e-12 * t, 1e-10) for t in range(60)]
     bad = row("c", 17, "dist@p=2", 1.0, 1.5, 1e-10)
     rows.insert(40, bad)
-    report = summarize("c", rows, detail_cap=5)
+    report = summarize("c", rows, len(rows))
     assert not report.passed
     assert report.details[0] is bad
-    assert [r.trial for r in report.details[1:]] == [59, 58, 57, 56]
+    assert [r.trial for r in report.details[1:]] == list(range(59, 10, -1))
 
 
 # ----------------------------------------------------------------------

@@ -1,18 +1,45 @@
-"""Package-level contracts: the version, byte-stable suite output, and
-suite seeds that once failed their own tolerance."""
+"""Package-level contracts: the version, the public names, byte-stable
+suite output, the distances a suite computes, and suite seeds that once
+failed their own tolerance."""
 
 from __future__ import annotations
 
 import hashlib
 import tomllib
 from pathlib import Path
+from unittest import mock
 
 import pytest
 
 import wasserline
+from wasserline import suites
 from wasserline.cli import main
 from wasserline.reports import rows_to_csv
 from wasserline.suites import SUITES, run_suite
+
+# Every name ``from wasserline import *`` gives, the submodules included.
+# A change that adds or removes a public name edits this list on purpose.
+PUBLIC_NAMES = [
+    "AdjacencyWitness", "AlphaOutOfRange", "BarycentricReflection", "Composition",
+    "DiscreteMeasure", "Domain", "DomainMismatch", "EqualEndpoints", "Exotic", "Flip",
+    "InvalidIntervalIsometry", "InvalidP", "LevelOutOfRange", "Measure", "MidpointGeometry",
+    "MonotoneRange", "NonPositiveWeight", "NotBisectable", "NotMonotone", "PLF",
+    "PositionOutOfRange", "ProbeResult", "QOutOfRange", "ReportRow", "SUITES", "ScopeMismatch",
+    "SplitEmbedding", "StepOutOfRange", "TooManyAtoms", "Translation", "Trivial",
+    "TwoPointParam", "UnsortedPositions", "VerificationReport", "WasserlineError",
+    "WeightError", "WeightSumOutOfTolerance", "abs_pow_cells", "abs_pow_gap", "apply",
+    "barycenter", "bisecting_pair", "cdf_eval", "cdf_from_dirac_distances", "check_order",
+    "concat_plfs", "const_plf", "convex_hull_combination", "dirac_certificate", "dist_to_dirac",
+    "errors", "exotic_apply_discrete", "exotic_apply_grid", "flip", "from_atoms",
+    "from_quantile", "from_segments", "geodesic_point", "h_q_eval", "h_q_inverse", "interval",
+    "is_adjacent", "is_midpoint", "isometries", "isometry_from_json", "ladder_bound",
+    "measure_from_json", "measure_to_json", "measures", "metric", "midpoint_diameter_probe",
+    "midpoint_geometry", "midpoints", "mn_element", "monotone_range", "nearest_in_mn",
+    "param_from_two_point", "plf", "plf_combine", "plf_splice", "pushforward_affine",
+    "qn_elements", "quantile_eval", "reports", "rows_to_csv", "run_suite", "sampling",
+    "slice_extremal_pair", "slice_of", "suite_ids", "suites", "t_star", "transport_lp_oracle",
+    "two_point_from_param", "verify_isometry", "wasserstein_distance",
+]
 
 # SHA-256 of rows_to_csv(run_suite(id, trials=5, seed=0)); see
 # test_suite_csv_digest.
@@ -35,6 +62,10 @@ def test_version_matches_pyproject():
         assert wasserline.__version__ == tomllib.load(fh)["project"]["version"]
 
 
+def test_public_names_are_pinned():
+    assert sorted(wasserline.__all__) == PUBLIC_NAMES
+
+
 def test_every_suite_has_a_digest():
     assert set(SUITE_CSV_SHA256) == set(SUITES)
 
@@ -51,6 +82,14 @@ def test_suite_csv_digest(suite_id):
     """
     _, rows = run_suite(suite_id, trials=5, seed=0)
     assert hashlib.sha256(rows_to_csv(rows).encode()).hexdigest() == SUITE_CSV_SHA256[suite_id]
+
+
+def test_dirac_suite_takes_each_certificate_distance_from_its_geometry():
+    # per trial and n: the two bisecting measures' distances to eta; the
+    # cert-distance row reads geo.D instead of a third distance
+    with mock.patch.object(suites, "wasserstein_distance", wraps=suites.wasserstein_distance) as dist:
+        run_suite("dirac-characterization", trials=5, seed=0)
+    assert dist.call_count == 5 * 8 * 2
 
 
 # Both seeds failed while W1 cells went through the divided difference of

@@ -266,9 +266,9 @@ def test_combine_is_pointwise_affine():
     rng = np.random.default_rng(5)
     f = sampling.random_unit_measure(rng).quantile
     g = sampling.random_unit_measure(rng).quantile
-    h = plf_combine([f, g], [0.25, 0.75], shift=0.5)
+    h = plf_combine([f, g], [0.25, 0.75])
     for y in np.linspace(0.01, 0.99, 23):
-        want = 0.25 * f.eval(float(y)) + 0.75 * g.eval(float(y)) + 0.5
+        want = 0.25 * f.eval(float(y)) + 0.75 * g.eval(float(y))
         assert h.eval(float(y)) == pytest.approx(want, abs=1e-13)
 
 
@@ -306,11 +306,10 @@ def test_p1_same_sign_cell_is_the_exact_trapezoid():
 
 
 def test_gap_integral_frozen_values():
-    # int_0^1 |y - 1/2|^2 dy = 1/12, and over [0, 1/2] it is 1/24
+    # int_0^1 |y - 1/2|^2 dy = 1/12
     ramp = PLF(np.array([0.0, 1.0]), np.array([0.0]), np.array([1.0]))
     half = const_plf(0.0, 1.0, 0.5)
     assert abs_pow_gap(ramp, half, 2.0) == pytest.approx(1.0 / 12.0, abs=1e-16)
-    assert abs_pow_gap(ramp, half, 2.0, 0.0, 0.5) == pytest.approx(1.0 / 24.0, abs=1e-16)
     assert abs_pow_gap(ramp, ramp, 2.0) == 0.0
 
 

@@ -19,10 +19,14 @@ the change was the better side, and a status read from those runs:
                   median beats the parent's by more than the parent's IQR
     within_bound  any other case
 
-The first rule that holds gives the status.  Traced records (``--trace
-1``) add each side's per-layer medians (every counter the trace table
-holds, as totals over that run's steps).  The commits, source digests,
-seeds, ``run_seconds`` and the host come from the records' stamps.
+The first rule that holds gives the status.  The top-level ``rejects``
+list names, as ``workload/metric``, each metric whose status is
+``worse`` and, as ``workload/fail_ratio``, each workload whose change
+fails a larger share of operations than its parent: the two conditions
+that refuse a change.  Traced records (``--trace 1``) add each side's
+per-layer medians (every counter the trace table holds, as totals over
+that run's steps).  The commits, source digests, seeds, ``run_seconds``
+and the host come from the records' stamps.
 """
 
 from __future__ import annotations
@@ -87,6 +91,7 @@ def build(pr: int, parent: dict, change: dict, note: str) -> dict:
                    "source_sha1": _one([change[k] for k in pairs], "source_sha1")},
         "host": {**{k: stamp[k] for k in ("machine", "nproc", "cpus_usable", "platform", "python", "numpy")},
                  "note": note},
+        "rejects": [],
         "workloads": {},
     }
     for workload in sorted({k[0] for k in pairs}):
@@ -123,6 +128,11 @@ def build(pr: int, parent: dict, change: dict, note: str) -> dict:
                        for side, recs in (("parent", parent), ("change", change))}
                 for name in sorted(names)
             }
+        doc["rejects"] += [f"{workload}/{name}" for name, m in entry.get("metrics", {}).items()
+                           if m["status"] == "worse"]
+        fails = entry.get("fail_ratio")
+        if fails and fails["change"] > fails["parent"]:
+            doc["rejects"].append(f"{workload}/fail_ratio")
     return doc
 
 
