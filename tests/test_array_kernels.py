@@ -608,9 +608,7 @@ def test_split_embedding_matches_its_copy(profile, mu):
         origin = from_atoms([(0.0, 1.0)])
         d = wasserstein_distance(mu, origin, 1.0)
         image = emb.apply(mu)
-        assert wasserstein_distance(image, emb.apply(origin), 1.0) == pytest.approx(
-            d, abs=1e-12 * (1.0 + d)
-        )
+        assert wasserstein_distance(image, emb.apply(origin), 1.0) == pytest.approx(d, abs=1e-12 * (1.0 + d))
     else:
         assert same_measure(emb.apply(mu), want)
 

@@ -13,8 +13,8 @@ import pytest
 from wasserline import (
     Domain,
     SplitEmbedding,
-    apply,
     VerificationReport,
+    apply,
     from_atoms,
     isometry_from_json,
     measure_from_json,

@@ -13,6 +13,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import reference_kernels as ref
 from wasserline import (
     BarycentricReflection,
     Composition,
@@ -42,7 +43,6 @@ from wasserline import (
     wasserstein_distance,
 )
 from wasserline.isometries import IsometryDescriptor
-import reference_kernels as ref
 from conftest import dirac, uniform01
 
 
