@@ -7,6 +7,8 @@ unit-interval extremal geometry, the W_1 midpoint laboratory and a CLI
 with seeded verification suites.
 """
 
+from types import ModuleType as _ModuleType
+
 from .errors import (
     AlphaOutOfRange,
     DomainMismatch,
@@ -98,4 +100,4 @@ from .suites import SUITES, run_suite, suite_ids
 
 __version__ = "0.1.0"
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+__all__ = [name for name in dir() if not name.startswith("_") and not isinstance(globals()[name], _ModuleType)]

@@ -129,8 +129,8 @@ def nearest_in_mn(mu: Measure, n: int, p: float) -> tuple[Measure, float]:
     near an atom g has the cusp |Q-a|^(p-1), on which plain Newton steps
     cycle.  A block stops at a step below a few ulps of its position
     taken with finite curvature, at g = 0, or when its bracket holds no
-    float between its ends.  All
-    blocks run in lockstep.
+    float between its ends; it then keeps whichever end has the lower
+    block cost.  All blocks run in lockstep.
     """
     _require_unit(mu)
     p = check_order(p)
@@ -151,6 +151,9 @@ def nearest_in_mn(mu: Measure, n: int, p: float) -> tuple[Measure, float]:
 
     def block_sums(per_cell: np.ndarray) -> np.ndarray:
         return np.bincount(cell_block, weights=per_cell, minlength=blocks)
+
+    def block_cost(at: np.ndarray) -> np.ndarray:  # integral of |Q - at|^p per block
+        return block_sums(_power_cells(w, q.yl - at[cell_block], q.yr - at[cell_block], p, False))
 
     a = np.clip(blocks * block_sums(q._cell_areas()), lo, hi)
     done = np.full(blocks, p == 2.0) | (lo == hi)
@@ -180,8 +183,12 @@ def nearest_in_mn(mu: Measure, n: int, p: float) -> tuple[Measure, float]:
             before, moved = moved, np.abs(step - a)
             stay = done | (g == 0.0)
             a = np.where(stay, a, step)
-            # a bracket of neighbouring floats has nothing left to bisect
-            done = stay | small | (mid <= lo) | (mid >= hi)
+            # a bracket of neighbouring floats has nothing left to bisect;
+            # its block keeps the cheaper end
+            empty = ~stay & ((mid <= lo) | (mid >= hi))
+            if empty.any():
+                a = np.where(empty & (block_cost(hi) < block_cost(lo)), hi, np.where(empty, lo, a))
+            done = stay | small | empty
     a = np.maximum.accumulate(np.clip(a, 0.0, 1.0))
     # the element is constant on each block, so the refined quantile's
     # cells are a common grid of the two

@@ -34,7 +34,11 @@ Each numeric idea has one private home: ``_nodes`` (the values in level
 order), ``_envelope`` (min or max of a pair from ``_with_crossings``),
 ``_without_empty_cells`` (the zero-width cell drop) and ``_power_cells``
 (cells of |affine|^r or sign(affine)|affine|^r, for the distances and
-the M_n projection alike).
+the M_n projection alike).  In the kernel, unsigned r = 2 is the
+polynomial w*(m^2 + d^2/12) of the cell's midpoint value m and rise d,
+with no masks, no power calls and nothing to cancel; ``abs_pow_cells``
+takes p = 1 as trapezoids and computes the zero-crossing formula only
+when some cell crosses.
 """
 
 from __future__ import annotations
@@ -536,17 +540,33 @@ def plf_splice(low: PLF, high: PLF, t: float) -> PLF:
 
 def _power_cells(w: np.ndarray, a: np.ndarray, b: np.ndarray, r: float, signed: bool) -> np.ndarray:
     """Per cell the integral of |l|^r, or of sign(l)|l|^r when ``signed``,
-    for l affine from a to b over width w: the divided difference of the
-    power primitive on steep cells only; where |b-a| <= 1e-9*max(|a|,|b|)
-    it would cancel catastrophically, and the midpoint value of the
-    integrand (exact in the limit) takes over.  r may be negative (r > -1,
-    integrable), as in the curvature (p-1)|l|^(p-2) of the M_n projection
-    at p < 2; a flat cell at zero then gives inf."""
+    for l affine from a to b over width w.
+
+    Unsigned r = 2 is the polynomial w*(m^2 + d^2/12), with m = (a+b)/2
+    and d = b-a: the exact integral of l^2 as a sum of two nonnegative
+    terms, so nothing cancels, crossing cells included, and a flat cell
+    gives fl(m^2) as the midpoint rule does.  Other orders take the
+    divided difference of the power primitive on steep cells only; where
+    |b-a| <= 1e-9*max(|a|,|b|) it would cancel catastrophically, and the
+    midpoint value of the integrand (exact in the limit) takes over.  r
+    may be negative (r > -1, integrable), as in the curvature
+    (p-1)|l|^(p-2) of the M_n projection at p < 2; a flat cell at zero
+    then gives inf."""
+    d = b - a
+    if r == 2.0 and not signed:
+        # in place on the two fresh temporaries
+        m = a + b
+        m *= 0.5
+        m *= m
+        d *= d
+        d /= 12.0
+        m += d
+        return w * m
+
     def power(u: np.ndarray, e: float, odd: bool) -> np.ndarray:  # |u|^e, or sign(u)|u|^e
         m = np.abs(u) ** e
         return np.sign(u) * m if odd else m
 
-    d = b - a
     if a.shape != d.shape or b.shape != d.shape:  # the masks below need full arrays
         a, b = np.broadcast_to(a, d.shape), np.broadcast_to(b, d.shape)
     steep = np.abs(d) > 1e-9 * np.maximum(np.abs(a), np.abs(b))
@@ -564,7 +584,9 @@ def abs_pow_cells(w, a, b, p: float) -> np.ndarray:
 
     For p = 1 the cells are the trapezoid 0.5*w*(|a|+|b|) when a and b
     share a sign and w*(a^2+b^2)/(2(|a|+|b|)) when l crosses zero; both
-    are free of cancellation.  Other orders are ``_power_cells``.
+    are free of cancellation, and when no cell crosses the trapezoids are
+    returned without the crossing formula.  Other orders are
+    ``_power_cells``, which takes p = 2 as a polynomial.
     """
     w = np.asarray(w, dtype=np.float64)
     a = np.asarray(a, dtype=np.float64)
@@ -572,8 +594,10 @@ def abs_pow_cells(w, a, b, p: float) -> np.ndarray:
     if p == 1.0:
         s = np.abs(a) + np.abs(b)
         cross = (a * b) < 0.0
-        denom = np.where(cross, s, 1.0)
         straight = 0.5 * w * s
+        if not cross.any():
+            return straight
+        denom = np.where(cross, s, 1.0)
         bent = w * (a * a + b * b) / (2.0 * denom)
         return np.where(cross, bent, straight)
     return _power_cells(w, a, b, p, False)

@@ -7,8 +7,8 @@ pair and the diameter probe, which read one ``MidpointGeometry``, against
 the code that analysed each pair again per call.
 
 ``reference_kernels`` keeps the replaced code verbatim; every output here
-must match it bit for bit (signs of zeros included), except W1 cells,
-which are checked against mpmath at 50 digits instead, the M_n
+must match it bit for bit (signs of zeros included), except W1 and
+p = 2 cells, which are checked against mpmath at 50 digits instead, the M_n
 projection, whose Newton steps stop elsewhere than the bisection they
 replaced and which is checked against that bisection and a 50-digit
 minimizer, and the named differences of the merged grid, the geodesic
@@ -398,7 +398,7 @@ def cells(draw) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return w, a, b
 
 
-@pytest.mark.parametrize("p", [1.5, 2.0, 3.0])
+@pytest.mark.parametrize("p", [1.5, 3.0])
 @settings(max_examples=150, deadline=None)
 @given(c=cells())
 def test_abs_pow_cells_match_both_branches(p, c):
@@ -412,6 +412,33 @@ def test_abs_pow_cells_match_both_branches(p, c):
     # through NumPy's scalar power, which can differ from the array power
     # in the last ulp
     assert same_bits(abs_pow_cells(w[0], a[0], b[0], p), ref.abs_pow_cells(w[:1], a[:1], b[:1], p)[0])
+
+
+def _mp_p2_cells_ok(got, w, a, b) -> bool:
+    """Each cell within 4 ulps relative of the 50-digit w*(a^2+ab+b^2)/3;
+    where the squares underflow, within 4 units of the least subnormal."""
+    got, w, a, b = np.broadcast_arrays(got, w, a, b)
+    with mpmath.workdps(50):
+        for g, *x in zip(got.ravel(), w.ravel(), a.ravel(), b.ravel()):
+            w_, a_, b_ = map(mpmath.mpf, map(float, x))
+            want = w_ * (a_ * a_ + a_ * b_ + b_ * b_) / 3
+            if abs(mpmath.mpf(float(g)) - want) > 4 * np.finfo(float).eps * want + 4 * mpmath.mpf(2) ** -1074:
+                return False
+    return True
+
+
+@settings(max_examples=150, deadline=None)
+@given(c=cells())
+def test_p2_cells_against_mpmath(c):
+    # the polynomial m^2 + d^2/12 cannot cancel: near-parallel and crossing
+    # cells are as accurate as the rest
+    w, a, b = c
+    assert _mp_p2_cells_ok(abs_pow_cells(w, a, b, 2.0), w, a, b)
+    # 2-D broadcasting, as the stacked midpoint probe uses it
+    a2 = np.stack([a, b, -a])
+    b2 = b[None, :]
+    assert _mp_p2_cells_ok(abs_pow_cells(w, a2, b2, 2.0), w, a2, b2)
+    assert _mp_p2_cells_ok(abs_pow_cells(w[0], a[0], b[0], 2.0), w[0], a[0], b[0])
 
 
 @settings(max_examples=100, deadline=None)
@@ -455,15 +482,30 @@ def test_w1_cells_against_mpmath(w, a, rel):
     assert _ulps_rel(got, _mp_l1_cell(w, a, b)) <= 4.0
 
 
-def test_near_parallel_w1_distance_against_mpmath():
-    # uniform[0, 1] against uniform[10, c]: the gap 10 + (c - 11) y never
-    # changes sign, and the old divided difference lost ~8 digits on it
+def _near_parallel_pair() -> tuple[Measure, Measure, float]:
+    """uniform[0, 1] and uniform[10, c]: the gap 10 + (c - 11) y never
+    changes sign, and the divided difference of the power primitive lost
+    digits on it."""
     c = 11.0 + 1.2e-8
     mu = Measure(Domain.REAL_LINE, PLF(np.array([0.0, 1.0]), np.array([0.0]), np.array([1.0])))
     nu = Measure(Domain.REAL_LINE, PLF(np.array([0.0, 1.0]), np.array([10.0]), np.array([c])))
+    return mu, nu, c
+
+
+def test_near_parallel_w1_distance_against_mpmath():
+    mu, nu, c = _near_parallel_pair()
     with mpmath.workdps(50):
         want = 10 + (mpmath.mpf(c) - 11) / 2
     assert _ulps_rel(wasserstein_distance(mu, nu, 1.0), want) <= 4.0
+
+
+def test_near_parallel_w2_distance_against_mpmath():
+    # the old kernel was off by a relative 2.4e-9 here
+    mu, nu, c = _near_parallel_pair()
+    with mpmath.workdps(50):
+        s = mpmath.mpf(c) - 11
+        want = mpmath.sqrt(100 + 10 * s + s * s / 3)
+    assert _ulps_rel(wasserstein_distance(mu, nu, 2.0), want) <= 4.0
 
 
 # ----------------------------------------------------------------------
@@ -805,6 +847,18 @@ def test_a_last_newton_step_stays_in_the_bracket():
     best, d = nearest_in_mn(mu, 0, 1.5)
     assert x0 <= best.quantile.yl[0] <= x1
     assert d <= ref.nearest_in_mn(mu, 0, 1.5)[1]
+
+
+def test_an_empty_bracket_keeps_its_cheaper_end():
+    # the block's values span two ulps around 0.625; its bracket ran out of
+    # floats with the last midpoint at the costlier end (d was 1.06e-16)
+    atoms = [(0.6249999999999999, 0.150), (0.625, 0.828), (0.6250000000000001, 0.022)]
+    mu = from_atoms(atoms, domain=Domain.UNIT_INTERVAL)
+    best, d = nearest_in_mn(mu, 0, 2.03)
+    costs = {x: _mp_cost(mu, 0, 2.03, [x]) for x, _ in atoms}
+    assert best.quantile.yl[0] == min(costs, key=costs.get) == 0.625
+    # d itself comes from the p = 2.03 power cells, a few ulps off
+    assert abs(d - costs[0.625]) <= 1e-14 * costs[0.625]
 
 
 def test_projection_raises_no_runtime_warning_on_atoms():

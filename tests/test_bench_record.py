@@ -59,3 +59,20 @@ def test_rejects_name_worse_metrics_and_a_larger_fail_ratio():
     doc = bench_record.build(10, parent, change, "")
     assert doc["rejects"] == ["a/read_ms", "b/fail_ratio"]
     assert doc["workloads"]["a"]["metrics"]["read_ms"]["status"] == "worse"
+
+
+def test_spans_one_side_recorded_are_listed_with_that_side_only():
+    def traced(per_layer: dict) -> dict:
+        rec = _record("w", 7, 0.0, {})
+        rec["stamp"]["trace"] = 1
+        return {**rec, "steps": 3, "per_layer": per_layer}
+
+    parent = {("w", 7, 1): traced({"plf.PLF.calls": 10, "gone.calls": 4})}
+    change = {("w", 7, 1): traced({"plf.PLF.calls": 8, "new.calls": 2, "new.self_s": 0.5})}
+    entry = bench_record.build(11, parent, change, "")["workloads"]["w"]
+    assert entry["per_layer"] == {"plf.PLF.calls": {"parent": 10, "change": 8}}
+    assert entry["per_layer_one_side"] == {
+        "gone.calls": {"parent": 4},
+        "new.calls": {"change": 2},
+        "new.self_s": {"change": 0.5},
+    }

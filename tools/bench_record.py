@@ -25,7 +25,10 @@ list names, as ``workload/metric``, each metric whose status is
 fails a larger share of operations than its parent: the two conditions
 that refuse a change.  Traced records (``--trace 1``) add each side's
 per-layer medians (every counter the trace table holds, as totals over
-that run's steps).  The commits, source digests, seeds, ``run_seconds``
+that run's steps) under ``per_layer``; a counter that not every traced
+run recorded, such as a span that appears or disappears with the change,
+is listed under ``per_layer_one_side`` with the median of each side's
+runs that recorded it.  The commits, source digests, seeds, ``run_seconds``
 and the host come from the records' stamps.
 """
 
@@ -119,14 +122,21 @@ def build(pr: int, parent: dict, change: dict, note: str) -> dict:
         traced = [k for k in pairs if k[0] == workload and k[2] == 1]
         if traced:
             # totals over each run's own steps; a faster side runs more
+            sides = (("parent", parent), ("change", change))
             entry["traced_seeds"] = [k[1] for k in traced]
-            entry["traced_steps"] = {side: [recs[k]["steps"] for k in traced]
-                                     for side, recs in (("parent", parent), ("change", change))}
-            names = set.intersection(*(set(recs[k]["per_layer"]) for recs in (parent, change) for k in traced))
+            entry["traced_steps"] = {side: [recs[k]["steps"] for k in traced] for side, recs in sides}
+            held = [set(recs[k]["per_layer"]) for _, recs in sides for k in traced]
+            names = set.intersection(*held)
             entry["per_layer"] = {
-                name: {side: statistics.median(recs[k]["per_layer"][name] for k in traced)
-                       for side, recs in (("parent", parent), ("change", change))}
+                name: {side: statistics.median(recs[k]["per_layer"][name] for k in traced) for side, recs in sides}
                 for name in sorted(names)
+            }
+            # a span that appears or disappears: the median over the runs
+            # that recorded it, per side that did
+            entry["per_layer_one_side"] = {
+                name: {side: statistics.median(vals) for side, recs in sides
+                       if (vals := [recs[k]["per_layer"][name] for k in traced if name in recs[k]["per_layer"]])}
+                for name in sorted(set.union(*held) - names)
             }
         doc["rejects"] += [f"{workload}/{name}" for name, m in entry.get("metrics", {}).items()
                            if m["status"] == "worse"]
