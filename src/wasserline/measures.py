@@ -80,10 +80,6 @@ class Measure:
         return [(float(a), float(s)) for a, s in zip(q.yl, b)]
 
     @property
-    def support_interval(self) -> tuple[float, float]:
-        return self.quantile.value_range
-
-    @property
     def is_discrete(self) -> bool:
         return bool(np.all(self.quantile.yl == self.quantile.yr))
 

@@ -19,9 +19,10 @@ stay monotone.
 
 Every ``PLF`` array is read-only.  ``PLF(...)`` validates and copies;
 ``PLF._trusted`` stores read-only views unchecked, for results finite and
-monotone by construction: ``on_grid`` (input nodes, or values pinned in
-their segment), ``restrict``/``canonical`` (parts of a valid function),
-``inverse`` (after its tiling check), ``minimum``/``maximum`` (pointwise
+monotone by construction: ``on_grid`` (each cell ends on its segment's
+``yr``, a cell that starts a segment starts on its ``yl``, and every
+other node is pinned in its segment), ``restrict``/``canonical`` (parts
+of a valid function), ``inverse`` (after its tiling check), ``minimum``/``maximum`` (pointwise
 extremes of monotone nodes), ``concat_plfs`` (after its seam checks) and
 the M_n element that ``interval.mn_element`` builds after its checks and
 ``interval.nearest_in_mn`` builds from positions clipped to [0, 1] and
@@ -38,7 +39,10 @@ the M_n projection alike).  In the kernel, unsigned r = 2 is the
 polynomial w*(m^2 + d^2/12) of the cell's midpoint value m and rise d,
 with no masks, no power calls and nothing to cancel; ``abs_pow_cells``
 takes p = 1 as trapezoids and computes the zero-crossing formula only
-when some cell crosses.
+when some cell crosses.  ``abs_pow_gap`` computes its cells in blocks of
+``_GAP_BLOCK``, whose temporaries stay in cache, into one array; each
+cell is elementwise, and one ``np.sum`` over that array keeps the
+pairwise-summation tree, so the sum has the bits of a single pass.
 """
 
 from __future__ import annotations
@@ -54,6 +58,9 @@ from .errors import NotMonotone
 # order; with fewer breaks the binary search stays in cache and sorting
 # the keys costs more than it saves
 _SORTED_SEARCH_MIN = 2048
+
+# cells per block of abs_pow_gap: the block's temporaries fit in L2
+_GAP_BLOCK = 2**14
 
 
 def _as_float_array(x) -> np.ndarray:
@@ -184,25 +191,34 @@ class PLF:
 
         ``k`` is the segment of each grid cell, ``_segment_index(grid[:-1],
         "right")``, as ``common_grid`` returns it (``None`` only when the
-        grid is the breaks, which returns ``self``); nothing is searched.
+        grid is the breaks, which returns ``self``, as does a grid as long
+        as the breaks); nothing is searched.
 
-        An inserted node is interpolated once, and the value serves both
-        cells that meet there, so the two sides agree bit for bit and
-        refinement never introduces spurious jumps.  Only nodes inserted
-        inside rising segments are interpolated; one inserted inside a
-        flat segment takes ``yr`` directly, which is what the pinned
-        interpolation returns there (including the sign of a zero).
+        Every cell ends on ``yr[k]``, one gather.  Since the grid holds
+        every break, a cell starts a segment exactly where ``k`` steps, and
+        each segment has one such cell, which starts on ``yl`` in order;
+        the other cells start on an inserted node.  An inserted node is
+        interpolated once, and the value serves both cells that meet
+        there, so the two sides agree bit for bit and refinement never
+        introduces spurious jumps.  Only nodes inserted inside rising
+        segments are interpolated; one inserted inside a flat segment
+        takes ``yr`` directly, which is what the pinned interpolation
+        returns there (including the sign of a zero).
         """
-        if len(grid) == len(self.breaks) and np.array_equal(grid, self.breaks):
+        if k is None or len(grid) == len(self.breaks):
             return self
-        left = grid[:-1]
-        b, lo, hi = self.breaks[k], self.yl[k], self.yr[k]
-        nyl = np.where(left == b, lo, hi)
-        nyr = hi
-        # cells whose left node is inserted inside a rising segment; the
-        # cell before ends on the same node, inside the same segment
-        i = np.flatnonzero((lo[1:] != hi[1:]) & (left[1:] != b[1:])) + 1
-        nyl[i] = nyr[i - 1] = self._interp(k[i], left[i])
+        nyr = self.yr[k]
+        nyl = nyr.copy()
+        step = np.empty(len(k), dtype=bool)
+        step[0] = True
+        np.not_equal(k[1:], k[:-1], out=step[1:])
+        nyl[np.flatnonzero(step)] = self.yl
+        rising = self.yl != self.yr
+        if rising.any():
+            # cells whose left node is inserted inside a rising segment;
+            # the cell before ends on the same node, inside the same segment
+            i = np.flatnonzero(rising[k] & ~step)
+            nyl[i] = nyr[i - 1] = self._interp(k[i], grid[i])
         return PLF._trusted(grid, nyl, nyr)
 
     def refine(self, points) -> "PLF":
@@ -604,7 +620,20 @@ def abs_pow_cells(w, a, b, p: float) -> np.ndarray:
 
 
 def abs_pow_gap(f: PLF, g: PLF, p: float) -> float:
-    """integral of |f - g|^p over the domain, exact per cell."""
+    """integral of |f - g|^p over the domain, exact per cell.
+
+    The cells are computed ``_GAP_BLOCK`` at a time into one array, so
+    the widths, differences and kernel temporaries of a block stay in
+    cache instead of each taking fresh full-size pages.  Every cell is
+    the value the one-pass computation gives, and the one sum over the
+    whole array keeps NumPy's pairwise-summation tree, so the result has
+    the same bits.
+    """
     F, G = on_common_grid(f, g)
-    w = np.diff(F.breaks)
-    return float(np.sum(abs_pow_cells(w, F.yl - G.yl, F.yr - G.yr, p)))
+    x, fl, fr, gl, gr = F.breaks, F.yl, F.yr, G.yl, G.yr
+    n = len(fl)
+    cells = np.empty(n)
+    for s in range(0, n, _GAP_BLOCK):
+        e = min(s + _GAP_BLOCK, n)
+        cells[s:e] = abs_pow_cells(x[s + 1 : e + 1] - x[s:e], fl[s:e] - gl[s:e], fr[s:e] - gr[s:e], p)
+    return float(np.sum(cells))

@@ -60,7 +60,7 @@ from wasserline.midpoints import (
     is_adjacent,
     midpoint_diameter_probe,
 )
-from wasserline.plf import _SORTED_SEARCH_MIN, _with_crossings, common_grid, on_common_grid
+from wasserline.plf import _GAP_BLOCK, _SORTED_SEARCH_MIN, _with_crossings, common_grid, on_common_grid
 
 
 def same_bits(x, y) -> bool:
@@ -152,6 +152,16 @@ def test_on_grid_matches_the_pinned_interpolation(f, points, midpoints):
     if midpoints:
         grid = np.union1d(grid, 0.5 * (grid[:-1] + grid[1:]))
     assert same_plf(f.on_grid(grid, ref.segment_index(f, grid[:-1], "right")), ref.on_grid(f, grid))
+
+
+def test_on_grid_of_its_own_breaks_is_itself():
+    """A merged grid as long as a function's breaks is those breaks."""
+    f = PLF([0.0, 0.25, 1.0], [0.0, 1.0], [0.5, 2.0])
+    g = PLF([0.0, 1.0], [0.0], [1.0])
+    grid, kf, kg = common_grid(f, g)
+    assert f.on_grid(grid, kf) is f
+    assert same_plf(g.on_grid(grid, kg), ref.on_grid(g, grid))
+    assert f.on_grid(f.breaks, None) is f
 
 
 @st.composite
@@ -303,7 +313,9 @@ def test_gaps_and_distances_match_the_searched_grid(pair):
     _assert_gaps_match_the_searched_grid(*pair)
 
 
-def test_large_merged_pairs_match_the_searched_grid():
+def _large_merged_pairs() -> list[tuple[PLF, PLF]]:
+    """2^16-atom quantiles merged with a 3·2^14-atom one, one on every
+    fourth break, and ramps, flats and jumps."""
     rng = np.random.default_rng(20200204)
     n = 2**16
     pos = rng.normal(size=n)
@@ -317,10 +329,44 @@ def test_large_merged_pairs_match_the_searched_grid():
     k = 2 * a.num_segments
     nodes = np.cumsum(np.where(rng.random(k) < 0.3, 0.0, rng.random(k))) - float(n) / 2
     ramp = PLF(a.breaks, nodes[0::2], nodes[1::2])
-    for f, g in ((a, b), (b, a), (a, c), (c, a), (ramp, b), (c, ramp)):
+    return [(a, b), (b, a), (a, c), (c, a), (ramp, b), (c, ramp)]
+
+
+def test_large_merged_pairs_match_the_searched_grid():
+    for f, g in _large_merged_pairs():
         for got, want in zip(on_common_grid(f, g), ref.union_on_common_grid(f, g)):
             assert same_plf(got, want)
         _assert_gaps_match_the_searched_grid(f, g)
+
+
+def _gap_in_one_pass(f: PLF, g: PLF, p: float) -> float:
+    F, G = on_common_grid(f, g)
+    return float(np.sum(abs_pow_cells(np.diff(F.breaks), F.yl - G.yl, F.yr - G.yr, p)))
+
+
+def _pair_with_cells(rng: np.random.Generator, n: int) -> tuple[PLF, PLF]:
+    """A ramp with flats and jumps on n-1 cells of [0, 1], and a function
+    with one break off the ramp's that crosses it: n merged cells."""
+    inner = np.unique(rng.random(n - 2) * 0.5 + 0.25)
+    assert len(inner) == n - 2
+    nodes = np.cumsum(np.where(rng.random(2 * n - 2) < 0.3, 0.0, rng.random(2 * n - 2))) - float(n) / 2
+    f = PLF(np.concatenate([[0.0], inner, [1.0]]), nodes[0::2], nodes[1::2])
+    g = PLF([0.0, 0.125, 1.0], [-float(n), 0.0], [0.0, float(n)])
+    return f, g
+
+
+@pytest.mark.parametrize("p", [1.0, 1.5, 2.0, 3.0])
+def test_blocked_gap_matches_the_one_pass_sum(p):
+    """``abs_pow_gap`` works in blocks of ``_GAP_BLOCK`` cells: several
+    blocks with a partial last one, and grids one cell short of, equal to
+    and one past a block give the bits of one pass over all cells."""
+    rng = np.random.default_rng(7)
+    pairs = _large_merged_pairs() + [_pair_with_cells(rng, n) for n in (_GAP_BLOCK - 1, _GAP_BLOCK, _GAP_BLOCK + 1)]
+    cells = [on_common_grid(f, g)[0].num_segments for f, g in pairs]
+    assert cells[-3:] == [_GAP_BLOCK - 1, _GAP_BLOCK, _GAP_BLOCK + 1]
+    assert any(n > 4 * _GAP_BLOCK and n % _GAP_BLOCK for n in cells)
+    for f, g in pairs:
+        assert same_bits(abs_pow_gap(f, g, p), _gap_in_one_pass(f, g, p))
 
 
 def _many_segments(rng: np.random.Generator) -> PLF:

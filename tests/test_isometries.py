@@ -126,7 +126,7 @@ def test_barycentric_reflection_fixes_the_barycenter():
     # reflecting twice restores every atom; the W1 cost of the residual
     # representation noise is linear in the ulp-level weight perturbations
     back = apply(BarycentricReflection(), out)
-    lo, hi = mu.support_interval
+    lo, hi = mu.quantile.value_range
     assert wasserstein_distance(mu, back, 1.0) <= 1e-12 * (1.0 + hi - lo)
     for (x, w), (y, v) in zip(mu.atoms(), back.atoms()):
         assert y == pytest.approx(x, abs=1e-12 * (1.0 + abs(x)))

@@ -124,7 +124,7 @@ def test_quantile_level_gates():
 def test_quantile_cdf_galois_correspondence(seed):
     rng = np.random.default_rng(seed)
     mu = sampling.random_discrete_measure(rng) if seed % 2 else sampling.random_real_measure(rng)
-    lo, hi = mu.support_interval
+    lo, hi = mu.quantile.value_range
     scale = 1.0 + max(abs(lo), abs(hi))
     for _ in range(4):
         u = float(rng.uniform(1e-9, 1.0 - 1e-9))
@@ -320,4 +320,4 @@ def test_json_rejects_unknown_payloads():
 def test_from_quantile_accepts_known_arrays():
     mu = from_quantile(Domain.UNIT_INTERVAL, [0.0, 1.0], [0.0], [1.0])
     assert mu == uniform01()
-    assert mu.support_interval == (0.0, 1.0)
+    assert mu.quantile.value_range == (0.0, 1.0)

@@ -136,8 +136,8 @@ def test_w1_equals_the_area_between_cdfs():
     rng = np.random.default_rng(19)
     mu = sampling.random_discrete_measure(rng, max_atoms=5)
     nu = sampling.random_discrete_measure(rng, max_atoms=5)
-    lo = min(mu.support_interval[0], nu.support_interval[0]) - 1.0
-    hi = max(mu.support_interval[1], nu.support_interval[1]) + 1.0
+    lo = min(mu.quantile.value_range[0], nu.quantile.value_range[0]) - 1.0
+    hi = max(mu.quantile.value_range[1], nu.quantile.value_range[1]) + 1.0
     pts = sorted(set(x for x, _ in mu.atoms()) | set(x for x, _ in nu.atoms()))
     area, _ = quad(lambda x: abs(cdf_eval(mu, x) - cdf_eval(nu, x)), lo, hi, points=pts, limit=400)
     assert wasserstein_distance(mu, nu, 1.0) == pytest.approx(area, abs=1e-9)
