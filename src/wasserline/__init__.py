@@ -96,7 +96,7 @@ from .midpoints import (
     midpoint_geometry,
 )
 from .reports import ReportRow, VerificationReport, rows_to_csv
-from .suites import SUITES, run_suite, suite_ids
+from .suites import SUITES, run_suite
 
 __version__ = "0.1.0"
 

@@ -25,7 +25,7 @@ from .measures import TwoPointParam, measure_from_json, measure_to_json, two_poi
 from .metric import wasserstein_distance
 from .reports import rows_to_csv
 from .sampling import rng_for
-from .suites import run_suite, suite_ids
+from .suites import SUITES, run_suite
 
 _PARSE_ERRORS = (
     json.JSONDecodeError,
@@ -89,8 +89,8 @@ def _cmd_apply(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    if args.suite_id not in suite_ids():
-        print(f"unknown suite: {args.suite_id!r}; known: {', '.join(suite_ids())}", file=sys.stderr)
+    if args.suite_id not in SUITES:
+        print(f"unknown suite: {args.suite_id!r}; known: {', '.join(SUITES)}", file=sys.stderr)
         return 4
     report, rows = run_suite(args.suite_id, trials=args.trials, seed=args.seed)
     csv_text = rows_to_csv(rows)

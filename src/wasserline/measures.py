@@ -68,10 +68,6 @@ class Measure:
         return self.domain is other.domain and self.quantile.equals(other.quantile)
 
     @property
-    def breakpoints(self) -> np.ndarray:
-        return self.quantile.breaks
-
-    @property
     def segments(self) -> list[tuple[float, float]]:
         """Per-segment (value at the left level, slope) pairs."""
         q = self.quantile
@@ -146,10 +142,6 @@ class DiscreteMeasure:
         return np.array_equal(self.positions, other.positions) and np.array_equal(
             self.weights, other.weights
         )
-
-    @property
-    def atoms(self) -> list[tuple[float, float]]:
-        return [(float(x), float(m)) for x, m in zip(self.positions, self.weights)]
 
     def to_measure(self, domain: Domain = Domain.REAL_LINE) -> Measure:
         # the atoms are sorted and merged already; the weights are divided
@@ -395,7 +387,7 @@ def measure_to_json(mu: Measure) -> dict:
     return {
         "domain": mu.domain.value,
         "type": "pl_quantile",
-        "breaks": [float(b) for b in mu.breakpoints],
+        "breaks": [float(b) for b in mu.quantile.breaks],
         "segments": [[a, b] for a, b in mu.segments],
     }
 

@@ -16,8 +16,11 @@ mutual distance alpha_1 + alpha_3 in [D/2, D].  The midpoint set of an
 adjacent pair has diameter exactly D/2, attained only by these two.
 
 ``midpoint_geometry`` is the one analysis of a pair (D, v, h, the
-alphas, the orientation); ``bisecting_pair`` and
-``midpoint_diameter_probe`` read that record instead of recomputing it.
+alphas, the orientation, and Q_mu, Q_nu crossed on one grid);
+``bisecting_pair`` and ``midpoint_diameter_probe`` read that record
+instead of recomputing it.  One gap function, max(|d_1(mu, xi) - D/2|,
+|d_1(xi, nu) - D/2|), serves ``is_midpoint``, the probe's candidate
+filter and the midpoint rows of the suite.
 """
 
 from __future__ import annotations
@@ -40,7 +43,8 @@ class MidpointGeometry:
 
     ``swapped`` records whether the labeling had to be exchanged to get
     the orientation F_mu(v) < h < F_nu(v-) used by the constructions;
-    ``pair`` is (mu, nu) as given to ``midpoint_geometry``.
+    ``pair`` is (mu, nu) as given to ``midpoint_geometry`` and ``crossed``
+    their quantiles on one grid that holds every crossing.
     """
 
     D: float
@@ -49,6 +53,7 @@ class MidpointGeometry:
     alphas: tuple[float, float, float, float]
     swapped: bool
     pair: tuple[Measure, Measure] = field(compare=False, repr=False)
+    crossed: tuple[PLF, PLF] = field(compare=False, repr=False)
 
 
 @dataclass(frozen=True)
@@ -134,9 +139,9 @@ def midpoint_geometry(mu: Measure, nu: Measure) -> MidpointGeometry:
         raise EqualEndpoints("measures coincide")
     fm, fn = _cdf_pair(mu, nu)
     v = _half_area_point(*_with_crossings(fm, fn))
-    pair = _with_crossings(mu.quantile, nu.quantile)
-    h = _half_area_point(*pair)
-    q_lo, q_hi = _envelope(*pair, np.minimum), _envelope(*pair, np.maximum)
+    crossed = _with_crossings(mu.quantile, nu.quantile)
+    h = _half_area_point(*crossed)
+    q_lo, q_hi = _envelope(*crossed, np.minimum), _envelope(*crossed, np.maximum)
     lo_v = q_lo.minimum(v)
     hi_v = q_hi.minimum(v)
     lo_cap = q_lo.maximum(v)
@@ -149,7 +154,7 @@ def midpoint_geometry(mu: Measure, nu: Measure) -> MidpointGeometry:
     margin_keep = min(h - fm.eval(v), fn.left_limit(v) - h)
     margin_swap = min(h - fn.eval(v), fm.left_limit(v) - h)
     swapped = margin_swap > margin_keep
-    return MidpointGeometry(D, v, h, (a1, a2, a3, a4), swapped, (mu, nu))
+    return MidpointGeometry(D, v, h, (a1, a2, a3, a4), swapped, (mu, nu), crossed)
 
 
 # ----------------------------------------------------------------------
@@ -180,14 +185,16 @@ def bisecting_pair(geo: MidpointGeometry) -> tuple[Measure, Measure]:
     return _glue_vertical(mu, nu, geo.v, geo.h), _glue_horizontal(mu, nu, geo.v, geo.h)
 
 
+def _midpoint_gap(xi: Measure, mu: Measure, nu: Measure, D: float) -> float:
+    """How far xi is from a midpoint of mu and nu, for D = d_1(mu, nu)."""
+    half = 0.5 * D
+    return max(abs(wasserstein_distance(mu, xi, 1.0) - half), abs(wasserstein_distance(xi, nu, 1.0) - half))
+
+
 def is_midpoint(xi: Measure, mu: Measure, nu: Measure, tol: float = 1e-9) -> bool:
     if xi.domain is not mu.domain or mu.domain is not nu.domain:
         raise DomainMismatch("all three measures must share a domain")
-    half = 0.5 * wasserstein_distance(mu, nu, 1.0)
-    return (
-        abs(wasserstein_distance(mu, xi, 1.0) - half) <= tol
-        and abs(wasserstein_distance(xi, nu, 1.0) - half) <= tol
-    )
+    return _midpoint_gap(xi, mu, nu, wasserstein_distance(mu, nu, 1.0)) <= tol
 
 
 # ----------------------------------------------------------------------
@@ -224,11 +231,10 @@ def is_adjacent(mu: Measure, nu: Measure) -> AdjacencyWitness | None:
 # midpoint-set diameter probe
 
 
-def _probe_grid(mu: Measure, nu: Measure, deterministic: list[Measure], h: float) -> tuple[np.ndarray, list[PLF]]:
+def _probe_grid(geo: MidpointGeometry, candidates: list[Measure]) -> tuple[np.ndarray, list[PLF]]:
     """Breaks of mu, nu, their crossings, the candidates, h and cell midpoints; the quantiles on it."""
-    quantiles = [mu.quantile, nu.quantile] + [c.quantile for c in deterministic]
-    crossed = _with_crossings(mu.quantile, nu.quantile)[0].breaks
-    grid = common_grid(points=[crossed] + [q.breaks for q in quantiles[2:]] + [np.array([h])])[0]
+    quantiles = [m.quantile for m in geo.pair] + [c.quantile for c in candidates]
+    grid = common_grid(points=[geo.crossed[0].breaks] + [q.breaks for q in quantiles[2:]] + [np.array([geo.h])])[0]
     grid, *ks = common_grid(*quantiles, points=[grid, 0.5 * (grid[:-1] + grid[1:])])
     return grid, [q.on_grid(grid, k) for q, k in zip(quantiles, ks)]
 
@@ -254,10 +260,10 @@ def midpoint_diameter_probe(geo: MidpointGeometry, trials: int = 2000, seed: int
                 cand = builder(a, b, v, h)
             except NotMonotone:
                 continue
-            if is_midpoint(cand, mu, nu, tol=1e-9):
+            if _midpoint_gap(cand, mu, nu, D) <= 1e-9:
                 deterministic.append(cand)
 
-    grid, (qm, qn, *cands) = _probe_grid(mu, nu, deterministic, h)
+    grid, (qm, qn, *cands) = _probe_grid(geo, deterministic)
     w = np.diff(grid)
     m_nodes, n_nodes = _nodes(qm.yl, qm.yr), _nodes(qn.yl, qn.yr)
     e_lo = np.minimum(m_nodes, n_nodes)

@@ -28,8 +28,8 @@ the M_n element that ``interval.mn_element`` builds after its checks and
 ``interval.nearest_in_mn`` builds from positions clipped to [0, 1] and
 made nondecreasing by a running maximum (one atom per run of equal
 positions, on the breaks k/m).
-``plf_combine`` (a signed blend may decrease), ``map_values`` and
-``map_levels`` (rounding collapses breaks, overflow reaches inf) validate.
+``plf_combine`` (a signed blend may decrease) and ``map_values``
+(overflow reaches inf) validate.
 
 Each numeric idea has one private home: ``_nodes`` (the values in level
 order), ``_envelope`` (min or max of a pair from ``_with_crossings``),
@@ -247,12 +247,6 @@ class PLF:
         if scale < 0:
             raise ValueError("negative scale would reverse monotonicity")
         return PLF(self.breaks, shift + scale * self.yl, shift + scale * self.yr)
-
-    def map_levels(self, scale: float, shift: float) -> "PLF":
-        """Affine action on the domain; ``scale`` must be positive."""
-        if scale <= 0:
-            raise ValueError("level scale must be positive")
-        return PLF(shift + scale * self.breaks, self.yl, self.yr)
 
     # ------------------------------------------------------------------
     # min / max / clip

@@ -8,7 +8,7 @@ keeps the bodies that the one-home helpers of ``wasserline.plf`` replaced:
 the M_n projection by bisection with its own power cells, the geodesic
 range with its own node layout, the junction shift with its own
 empty-cell drop and the midpoint geometry with its own envelopes (which
-now also records its pair).  After it come the bisecting measures and the
+now also records its pair and the crossed quantiles of that pair).  After it come the bisecting measures and the
 opening of the diameter probe from before ``midpoints.bisecting_pair`` and
 the probe read one ``MidpointGeometry``: each analysed its pair again.
 
@@ -507,7 +507,7 @@ def midpoint_geometry(mu: Measure, nu: Measure) -> MidpointGeometry:
     margin_keep = min(h - fm.eval(v), fn.left_limit(v) - h)
     margin_swap = min(h - fn.eval(v), fm.left_limit(v) - h)
     swapped = margin_swap > margin_keep
-    return MidpointGeometry(D, v, h, (a1, a2, a3, a4), swapped, (mu, nu))
+    return MidpointGeometry(D, v, h, (a1, a2, a3, a4), swapped, (mu, nu), (qm, qn))
 
 
 # ----------------------------------------------------------------------

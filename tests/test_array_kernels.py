@@ -17,13 +17,14 @@ range and the Dirac certificate.
 
 from __future__ import annotations
 
+import dataclasses
 import warnings
 from unittest import mock
 
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import example, given, reject, settings
 from hypothesis import strategies as st
 
 import reference_kernels as ref
@@ -724,7 +725,11 @@ def test_padded_inverse_window_must_contain_the_value_range(f):
 def test_probe_grid_matches_the_union_grid(mu, nu, data):
     deterministic = [geodesic_point(mu, nu, 0.5)] + data.draw(st.lists(unit_measures(), max_size=2))
     h = data.draw(st.one_of(st.sampled_from([0.0, -0.0, 0.5, 1.0]), st.sampled_from(mu.quantile.breaks.tolist()), st.floats(0.0, 1.0)))
-    got, want = _probe_grid(mu, nu, deterministic, h), ref.probe_grid(mu, nu, deterministic, h)
+    try:
+        geo = dataclasses.replace(midpoint_geometry(mu, nu), h=h)
+    except EqualEndpoints:
+        reject()
+    got, want = _probe_grid(geo, deterministic), ref.probe_grid(mu, nu, deterministic, h)
     zero = mu.quantile.breaks[:1]
     assert same_grid(got[0], want[0], zero)
     assert len(got[1]) == len(want[1]) and all(same_plf_on(a, b, zero) for a, b in zip(got[1], want[1]))
@@ -740,7 +745,7 @@ def test_midpoint_probe_matches_the_union_grid(mu, nu, seed):
             return type(e)
 
     got = probe()
-    with mock.patch("wasserline.midpoints._probe_grid", ref.probe_grid):
+    with mock.patch("wasserline.midpoints._probe_grid", lambda geo, c: ref.probe_grid(*geo.pair, c, geo.h)):
         want = probe()
     if isinstance(want, type):
         assert got is want
@@ -1022,8 +1027,8 @@ def test_bisecting_pair_and_probe_match_the_old_per_call_analysis(pair):
     else:
         assert all(same_measure(a, b) for a, b in zip(got, want))
 
-    # the probe hands _probe_grid the candidates and the level the old
-    # opening computed, and brackets with the same D
+    # the probe hands _probe_grid the pair, the candidates and the level
+    # the old opening computed, and brackets with the same D
     seen = []
     with mock.patch("wasserline.midpoints._probe_grid", side_effect=lambda *a: seen.append(a) or _probe_grid(*a)):
         got = _outcome(lambda mu, nu: midpoint_diameter_probe(midpoint_geometry(mu, nu), trials=4), *pair)
@@ -1032,6 +1037,7 @@ def test_bisecting_pair_and_probe_match_the_old_per_call_analysis(pair):
         assert got is want
     else:
         D, _, h, deterministic = want
-        (mu, nu, cands, level), = seen
+        (geo, cands), = seen
+        (mu, nu), level = geo.pair, geo.h
         assert mu is pair[0] and nu is pair[1] and same_bits(level, h) and got.theoretical == (0.5 * D, D)
         assert len(cands) == len(deterministic) and all(same_measure(a, b) for a, b in zip(cands, deterministic))

@@ -211,6 +211,12 @@ def test_verify_unknown_suite_is_exit_four(capsys):
     assert main(["verify", "no-such-suite"]) == 4
     err = capsys.readouterr().err
     assert "unknown suite" in err and "distance-oracle" in err
+    assert main(["verify", "exotic-two-point"]) == 4  # no aliases
+    known = capsys.readouterr().err.strip().split("; known: ")[1].split(", ")
+    assert known == [
+        "distance-oracle", "slice-diameter", "klein-relations", "ladder-bound", "midpoint-geometry",
+        "dirac-characterization", "exotic-flow", "embedding-gallery", "cdf-recovery",
+    ]
 
 
 def test_verify_failed_suite_is_exit_one(monkeypatch, capsys):

@@ -1,10 +1,13 @@
 """Package-level contracts: the version, the public names, byte-stable
-suite output, the distances a suite computes, and suite seeds that once
-failed their own tolerance."""
+suite output, the distances a suite computes, one trial count per suite
+in the registry, the benchmark inputs and the README, and suite seeds
+that once failed their own tolerance."""
 
 from __future__ import annotations
 
 import hashlib
+import importlib.util
+import re
 import tomllib
 from pathlib import Path
 from unittest import mock
@@ -12,10 +15,12 @@ from unittest import mock
 import pytest
 
 import wasserline
-from wasserline import suites
+from wasserline import metric, midpoints, suites
 from wasserline.cli import main
 from wasserline.reports import rows_to_csv
 from wasserline.suites import SUITES, run_suite
+
+ROOT = Path(__file__).resolve().parents[1]
 
 # Every name ``from wasserline import *`` gives; submodules are not among them.
 # A change that adds or removes a public name edits this list on purpose.
@@ -36,7 +41,7 @@ PUBLIC_NAMES = [
     "midpoint_diameter_probe", "midpoint_geometry", "mn_element", "monotone_range",
     "nearest_in_mn", "param_from_two_point", "plf_combine", "plf_splice", "pushforward_affine",
     "qn_elements", "quantile_eval", "rows_to_csv", "run_suite", "slice_extremal_pair",
-    "slice_of", "suite_ids", "t_star", "transport_lp_oracle", "two_point_from_param",
+    "slice_of", "t_star", "transport_lp_oracle", "two_point_from_param",
     "verify_isometry", "wasserstein_distance",
 ]
 
@@ -56,8 +61,7 @@ SUITE_CSV_SHA256 = {
 
 
 def test_version_matches_pyproject():
-    pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"
-    with open(pyproject, "rb") as fh:
+    with open(ROOT / "pyproject.toml", "rb") as fh:
         assert wasserline.__version__ == tomllib.load(fh)["project"]["version"]
 
 
@@ -90,6 +94,31 @@ def test_dirac_suite_takes_each_certificate_distance_from_its_geometry():
     with mock.patch.object(suites, "wasserstein_distance", wraps=suites.wasserstein_distance) as dist:
         run_suite("dirac-characterization", trials=5, seed=0)
     assert dist.call_count == 5 * 8 * 2
+
+
+def test_midpoint_probe_takes_its_distance_and_crossings_from_the_geometry():
+    # the probe's glue filter reads geo.D and its grid reads geo.crossed:
+    # 15 distances and 5 crossings fewer than when it recomputed both
+    with mock.patch.object(metric, "abs_pow_gap", wraps=metric.abs_pow_gap) as gap, \
+            mock.patch.object(midpoints, "_with_crossings", wraps=midpoints._with_crossings) as cross:
+        run_suite("midpoint-geometry", trials=5, seed=0)
+    assert (gap.call_count, cross.call_count) == (82, 20)
+
+
+def _perfbench_inputs():
+    spec = importlib.util.spec_from_file_location("perfbench_inputs", ROOT / "perfbench" / "inputs.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_the_three_trial_tables_agree():
+    # the registry, the benchmark's acceptance counts and the README
+    # criteria table each list every suite with its acceptance trials
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    table = {sid: int(n) for sid, n in re.findall(r"^\| \d+ \| `([a-z-]+)` \| (\d+) \|", readme, re.M)}
+    registry = {sid: spec.default_trials for sid, spec in SUITES.items()}
+    assert registry == _perfbench_inputs().ACCEPTANCE_TRIALS == table
 
 
 # Both seeds failed while W1 cells went through the divided difference of
