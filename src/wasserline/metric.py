@@ -12,6 +12,7 @@ no quadrature is involved anywhere.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -23,7 +24,7 @@ from .plf import _nodes, abs_pow_gap, on_common_grid, plf_combine
 
 def check_order(p) -> float:
     p = float(p)
-    if not np.isfinite(p) or p < 1.0:
+    if not math.isfinite(p) or p < 1.0:
         raise InvalidP(f"need a finite order p >= 1, got {p!r}")
     return p
 

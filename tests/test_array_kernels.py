@@ -61,7 +61,14 @@ from wasserline.midpoints import (
     is_adjacent,
     midpoint_diameter_probe,
 )
-from wasserline.plf import _GAP_BLOCK, _SORTED_SEARCH_MIN, _with_crossings, common_grid, on_common_grid
+from wasserline.plf import (
+    _GAP_BLOCK,
+    _SORTED_SEARCH_MIN,
+    _power_cells,
+    _with_crossings,
+    common_grid,
+    on_common_grid,
+)
 
 
 def same_bits(x, y) -> bool:
@@ -459,6 +466,34 @@ def test_abs_pow_cells_match_both_branches(p, c):
     # through NumPy's scalar power, which can differ from the array power
     # in the last ulp
     assert same_bits(abs_pow_cells(w[0], a[0], b[0], p), ref.abs_pow_cells(w[:1], a[:1], b[:1], p)[0])
+
+
+@pytest.mark.parametrize("p", [1.1, 1.5, 3.0])
+@settings(max_examples=100, deadline=None)
+@given(c=cells())
+@example(c=(np.array([1.0, 0.5, 2.0, 0.25]), np.array([0.0, -0.0, -0.0, 0.0]), np.array([-0.0, 0.0, -0.0, 1.0])))
+def test_one_kind_power_cells_match_the_masked_path(p, c):
+    """Cells all steep or all flat take whole arrays; one cell of the
+    other kind appended forces the masked path, whose other cells must
+    have the same bits.  0-d and broadcast operands keep the masked path,
+    since NumPy's scalar power can differ from the array power in the
+    last ulp."""
+    w, a, b = c
+    steep = np.abs(b - a) > 1e-9 * np.maximum(np.abs(a), np.abs(b))
+    with np.errstate(divide="ignore", invalid="ignore"):  # a flat cell at zero: inf for r < 0, nan signed
+        for kind, (oa, ob) in ((steep, (0.5, 0.5)), (~steep, (1.0, 2.0))):
+            if not kind.any():
+                continue
+            wk, ak, bk = w[kind], a[kind], b[kind]
+            for signed in (False, True):
+                for r in (p, p - 1.0, p - 2.0):
+                    got = _power_cells(wk, ak, bk, r, signed)
+                    mixed = _power_cells(np.append(wk, 1.0), np.append(ak, oa), np.append(bk, ob), r, signed)
+                    assert same_bits(got, mixed[:-1])
+                    w0, a0, b0 = np.asarray(wk[0]), np.asarray(ak[0]), np.asarray(bk[0])
+                    assert same_bits(_power_cells(w0, a0, b0, r, signed), got[0])
+                    assert same_bits(_power_cells(w0, a0, np.repeat(b0, 3), r, signed), np.repeat(got[:1], 3))
+                    assert same_bits(_power_cells(wk, ak[None, :], np.stack([bk, bk]), r, signed), np.stack([got, got]))
 
 
 def _mp_p2_cells_ok(got, w, a, b) -> bool:

@@ -1,7 +1,8 @@
 """Package-level contracts: the version, the public names, byte-stable
-suite output, the distances a suite computes, one trial count per suite
-in the registry, the benchmark inputs and the README, and suite seeds
-that once failed their own tolerance."""
+suite output, the distances a suite computes, bit-stable small-pair
+distances, one trial count per suite in the registry, the benchmark
+inputs and the README, and suite seeds that once failed their own
+tolerance."""
 
 from __future__ import annotations
 
@@ -110,6 +111,35 @@ def _perfbench_inputs():
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
+
+
+# SHA-256 of wasserstein_distance(x, y, p).hex() over perfbench's
+# small_inputs(1): every pair in both argument orders at each of the orders
+# p the small-pairs workload reads it at; see
+# test_small_pair_distances_are_bit_stable.
+SMALL_PAIRS_SHA256 = "7ea196afc17a0e6b8789471a866f331cd3c9a13764fe07ad1c17c08e6127c81b"
+
+
+def _small_measure(raw: dict) -> wasserline.Measure:
+    domain = wasserline.Domain.UNIT_INTERVAL if raw["unit"] else wasserline.Domain.REAL_LINE
+    if raw["kind"] == "atoms":
+        return wasserline.from_atoms(list(zip(raw["pos"].tolist(), raw["w"].tolist())), domain=domain)
+    return wasserline.from_quantile(domain, raw["breaks"], raw["yl"], raw["yr"])
+
+
+def test_small_pair_distances_are_bit_stable():
+    """The small-pairs workload's distances, mixed pairs at p = 3 and
+    discrete pairs at p = 1.5 included, which the suites reach only
+    indirectly; like the suite digests, p not in {1, 2} depends on the
+    NumPy build's power kernel."""
+    h = hashlib.sha256()
+    for pair in _perfbench_inputs().small_inputs(1)["pairs"]:
+        a, b = _small_measure(pair["a"]), _small_measure(pair["b"])
+        discrete = pair["a"]["kind"] == pair["b"]["kind"] == "atoms"
+        for p in (1.0, 1.5, 2.0, 3.0) if discrete else (1.0, 2.0, 3.0):
+            for x, y in ((a, b), (b, a)):
+                h.update(wasserline.wasserstein_distance(x, y, p).hex().encode())
+    assert h.hexdigest() == SMALL_PAIRS_SHA256
 
 
 def test_the_three_trial_tables_agree():
