@@ -103,7 +103,7 @@ def _equal_weight_element(a: np.ndarray) -> Measure:
     starts = np.flatnonzero(np.concatenate([[True], a[1:] != a[:-1]]))
     pos = a[starts]
     breaks = np.append(starts, len(a)) / float(len(a))
-    return Measure(Domain.UNIT_INTERVAL, PLF._trusted(breaks, pos, pos))
+    return Measure._trusted(Domain.UNIT_INTERVAL, PLF._trusted(breaks, pos, pos))
 
 
 def ladder_bound(n: int, p: float) -> float:

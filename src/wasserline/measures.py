@@ -9,6 +9,17 @@ with density 1/slope.
 The representation is canonicalized on construction (adjacent collinear
 pieces merged), so two Measure objects are equal exactly when their
 arrays are equal bit for bit and their domains agree.
+
+Input is validated once, at the public constructors: ``Measure(...)``
+checks and canonicalizes its quantile, and ``DiscreteMeasure(...)`` checks,
+sorts and merges its atoms.  Library results that are canonical and
+inside their domain by construction take ``Measure._trusted`` instead:
+``from_atoms`` and ``DiscreteMeasure.to_measure`` (sorted distinct atoms
+after ``DiscreteMeasure``'s checks give flat cells with jumps between
+them, on cumulative weights clamped at one, with the unit-interval check
+made first) and the M_n elements of ``interval``.
+``DiscreteMeasure.from_measure`` reads a discrete measure's atoms as they
+are, sorted and distinct, and only normalizes their masses.
 """
 
 from __future__ import annotations
@@ -28,7 +39,7 @@ from .errors import (
     TooManyAtoms,
     WeightSumOutOfTolerance,
 )
-from .plf import PLF, _without_empty_cells
+from .plf import PLF
 
 WEIGHT_TOL = 1e-9
 # slack for values that should sit in [0, 1] but picked up rounding noise
@@ -59,8 +70,16 @@ class Measure:
                     f"values [{lo}, {hi}] leave the unit interval"
                 )
             if lo < 0.0 or hi > 1.0:
-                q = PLF(q.breaks, np.clip(q.yl, 0.0, 1.0), np.clip(q.yr, 0.0, 1.0))
+                # clipped flats at an end may now be equal neighbours
+                q = PLF(q.breaks, np.clip(q.yl, 0.0, 1.0), np.clip(q.yr, 0.0, 1.0)).canonical()
         object.__setattr__(self, "quantile", q)
+
+    @classmethod
+    def _trusted(cls, domain: Domain, quantile: PLF) -> "Measure":
+        """A quantile canonical and inside ``domain`` by construction; no checks."""
+        self = object.__new__(cls)
+        self.__dict__.update(domain=domain, quantile=quantile)
+        return self
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Measure):
@@ -77,7 +96,7 @@ class Measure:
 
     @property
     def is_discrete(self) -> bool:
-        return bool(np.all(self.quantile.yl == self.quantile.yr))
+        return bool((self.quantile.yl == self.quantile.yr).all())
 
     def atoms(self) -> list[tuple[float, float]]:
         if not self.is_discrete:
@@ -111,11 +130,11 @@ class DiscreteMeasure:
         w = np.asarray(self.weights, dtype=np.float64).ravel()
         if len(pos) != len(w) or len(pos) == 0:
             raise ValueError("need matching nonempty position/weight arrays")
-        if not np.all(np.isfinite(pos)):
+        if not np.isfinite(pos).all():
             raise PositionOutOfRange("non-finite atom position")
-        if np.any(w <= 0.0) or not np.all(np.isfinite(w)):
+        if (w <= 0.0).any() or not np.isfinite(w).all():
             raise NonPositiveWeight("atom weights must be positive")
-        total = float(np.sum(w))
+        total = float(w.sum())
         if abs(total - 1.0) > WEIGHT_TOL:
             raise WeightSumOutOfTolerance(f"weights sum to {total!r}")
         # the stable sort that the tie rule needs costs about four unstable
@@ -146,14 +165,22 @@ class DiscreteMeasure:
     def to_measure(self, domain: Domain = Domain.REAL_LINE) -> Measure:
         # the atoms are sorted and merged already; the weights are divided
         # by their sum once more, which moves them by at most a few ulps
-        return _atoms_measure(self.positions, self.weights / float(np.sum(self.weights)), domain)
+        return _atoms_measure(self.positions, self.weights / float(self.weights.sum()), domain)
 
     @classmethod
     def from_measure(cls, mu: Measure) -> "DiscreteMeasure":
+        """The atoms of a discrete measure: canonical flats are sorted and
+        distinct already, so only the cell widths are normalized."""
         if not mu.is_discrete:
             raise ValueError("measure has a continuous part")
         q = mu.quantile
-        return cls(q.yl, np.diff(q.breaks))
+        w = np.diff(q.breaks)
+        w /= float(w.sum())
+        d = object.__new__(cls)
+        d.__dict__.update(positions=np.ascontiguousarray(q.yl), weights=w)
+        for a in d.__dict__.values():
+            a.setflags(write=False)
+        return d
 
 
 # ----------------------------------------------------------------------
@@ -196,15 +223,25 @@ def from_atoms(atoms, domain: Domain = Domain.REAL_LINE) -> Measure:
 
 
 def _atoms_measure(pos: np.ndarray, w: np.ndarray, domain: Domain) -> Measure:
-    """Measure from sorted distinct positions and weights summing to ~1."""
+    """Measure from sorted distinct finite positions and positive weights
+    summing to ~1, with no further checks: flat cells at increasing
+    values are canonical, and the breaks below are strictly increasing."""
     if domain is Domain.UNIT_INTERVAL and (pos[0] < 0.0 or pos[-1] > 1.0):
         raise PositionOutOfRange("atom outside the unit interval")
-    cum = np.cumsum(w)
-    cum[-1] = 1.0
-    # cells whose width underflowed to zero (weight below one ulp of the
-    # running total) are dropped; the lost mass is far under the weight
-    # tolerance
-    return Measure(domain, _without_empty_cells(np.concatenate([[0.0], cum]), pos, pos))
+    breaks = np.empty(len(w) + 1)
+    breaks[0] = 0.0
+    np.cumsum(w, out=breaks[1:])
+    breaks[-1] = 1.0
+    # a running total can pass one before the last atom; cells whose width
+    # is then zero, or underflowed to zero (weight below one ulp of the
+    # running total), are dropped, and the lost mass is far under the
+    # weight tolerance
+    np.minimum(breaks, 1.0, out=breaks)
+    keep = breaks[1:] > breaks[:-1]
+    if not keep.all():
+        breaks = np.append(breaks[:-1][keep], 1.0)
+        pos = pos[keep]
+    return Measure._trusted(domain, PLF._trusted(breaks, pos, pos))
 
 
 # ----------------------------------------------------------------------

@@ -19,7 +19,7 @@ import numpy as np
 
 from .errors import DomainMismatch, InvalidP, NotMonotone
 from .measures import DiscreteMeasure, Measure
-from .plf import _nodes, abs_pow_gap, on_common_grid, plf_combine
+from .plf import PLF, _blend, _nodes, abs_pow_gap, on_common_grid
 
 
 def check_order(p) -> float:
@@ -91,7 +91,11 @@ class MonotoneRange:
 def monotone_range(mu: Measure, nu: Measure) -> MonotoneRange:
     if mu.domain is not nu.domain:
         raise DomainMismatch("geodesics need a common domain")
-    f, g = on_common_grid(mu.quantile, nu.quantile)
+    return _monotone_range(*on_common_grid(mu.quantile, nu.quantile))
+
+
+def _monotone_range(f: PLF, g: PLF) -> MonotoneRange:
+    """``monotone_range`` of two quantiles on one grid."""
     # slopes and jumps, the steps between level-ordered nodes, both must
     # stay nonnegative along the blend
     a = np.diff(_nodes(f.yl, f.yr))
@@ -115,7 +119,9 @@ def geodesic_point(mu: Measure, nu: Measure, s: float) -> Measure:
     long as the blend stays monotone.
     """
     s = float(s)
-    if not monotone_range(mu, nu).contains(s):
+    if mu.domain is not nu.domain:
+        raise DomainMismatch("geodesics need a common domain")
+    f, g = on_common_grid(mu.quantile, nu.quantile)
+    if not _monotone_range(f, g).contains(s):
         raise NotMonotone(f"s={s!r} leaves the monotone parameter range")
-    q = plf_combine([mu.quantile, nu.quantile], [1.0 - s, s])
-    return Measure(mu.domain, q)
+    return Measure(mu.domain, _blend(f.breaks, [f, g], [1.0 - s, s]))

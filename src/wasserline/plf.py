@@ -27,9 +27,12 @@ extremes of monotone nodes), ``concat_plfs`` (after its seam checks) and
 the M_n element that ``interval.mn_element`` builds after its checks and
 ``interval.nearest_in_mn`` builds from positions clipped to [0, 1] and
 made nondecreasing by a running maximum (one atom per run of equal
-positions, on the breaks k/m).
-``plf_combine`` (a signed blend may decrease) and ``map_values``
-(overflow reaches inf) validate.
+positions, on the breaks k/m), and the quantile of
+``measures.from_atoms``/``DiscreteMeasure.to_measure`` (sorted distinct
+finite atoms after ``DiscreteMeasure``'s checks, on cumulative weights
+clamped at one with the zero-width cells dropped).
+``plf_combine`` and the geodesic blend ``_blend`` behind it (a signed
+blend may decrease) and ``map_values`` (overflow reaches inf) validate.
 
 Each numeric idea has one private home: ``_nodes`` (the values in level
 order), ``_envelope`` (min or max of a pair from ``_with_crossings``),
@@ -506,13 +509,17 @@ def plf_combine(fns: list[PLF], coeffs) -> PLF:
     if len(fns) != len(np.atleast_1d(coeffs)) or not fns:
         raise ValueError("need one coefficient per function")
     grid, *ks = common_grid(*fns)
+    return _blend(grid, (h.on_grid(grid, k) for h, k in zip(fns, ks)), coeffs)
+
+
+def _blend(grid: np.ndarray, fns, coeffs) -> PLF:
+    """``plf_combine`` of functions already on ``grid``, validated."""
     coeffs = np.asarray(coeffs, dtype=np.float64)
     yl = np.zeros(len(grid) - 1)
     yr = np.zeros(len(grid) - 1)
-    for c, h, k in zip(coeffs, fns, ks):
-        hh = h.on_grid(grid, k)
-        yl = yl + c * hh.yl
-        yr = yr + c * hh.yr
+    for c, h in zip(coeffs, fns):
+        yl = yl + c * h.yl
+        yr = yr + c * h.yr
     if np.any(coeffs < 0.0):
         yl, yr = _repair_monotone(yl, yr)
     return PLF(grid, yl, yr)

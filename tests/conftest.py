@@ -14,25 +14,69 @@ import pytest
 from wasserline import DiscreteMeasure, Domain, Measure, PLF, from_atoms
 
 
+def _same_bits(got: np.ndarray, want: np.ndarray) -> None:
+    assert not got.flags.writeable
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+
+# the constructors that skip validation, as the library defines them
+_UNCHECKED = {
+    (PLF, "_trusted"): vars(PLF)["_trusted"],
+    (Measure, "_trusted"): vars(Measure)["_trusted"],
+    (DiscreteMeasure, "from_measure"): vars(DiscreteMeasure)["from_measure"],
+}
+
+
 @pytest.fixture(autouse=True, scope="session")
-def validate_trusted_plfs():
-    """Every ``PLF._trusted`` construction also runs the validating
+def validate_trusted_constructions():
+    """Every ``PLF._trusted`` and ``Measure._trusted`` construction, and
+    every ``DiscreteMeasure.from_measure``, also runs the validating
     constructor, and must store the same bits, read-only: the tests check
     each site that skips validation in production."""
-    trusted = PLF._trusted.__func__
+    trusted_plf = PLF._trusted.__func__
+    trusted_measure = Measure._trusted.__func__
+    from_measure = DiscreteMeasure.from_measure.__func__
 
-    def checked(cls, breaks, yl, yr):
+    def checked_plf(cls, breaks, yl, yr):
         valid = PLF(breaks, yl, yr)
-        f = trusted(cls, breaks, yl, yr)
+        f = trusted_plf(cls, breaks, yl, yr)
         for got, want in ((f.breaks, valid.breaks), (f.yl, valid.yl), (f.yr, valid.yr)):
-            assert not got.flags.writeable
-            assert got.dtype == want.dtype and got.shape == want.shape
-            assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+            _same_bits(got, want)
         return f
 
+    def checked_measure(cls, domain, q):
+        valid = Measure(domain, q)
+        mu = trusted_measure(cls, domain, q)
+        assert mu.domain is valid.domain
+        for got, want in zip(
+            (mu.quantile.breaks, mu.quantile.yl, mu.quantile.yr),
+            (valid.quantile.breaks, valid.quantile.yl, valid.quantile.yr),
+        ):
+            _same_bits(got, want)
+        return mu
+
+    def checked_from_measure(cls, mu):
+        d = from_measure(cls, mu)
+        q = mu.quantile
+        valid = cls(q.yl, np.diff(q.breaks))
+        _same_bits(d.positions, valid.positions)
+        _same_bits(d.weights, valid.weights)
+        return d
+
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(PLF, "_trusted", classmethod(checked))
+        mp.setattr(PLF, "_trusted", classmethod(checked_plf))
+        mp.setattr(Measure, "_trusted", classmethod(checked_measure))
+        mp.setattr(DiscreteMeasure, "from_measure", classmethod(checked_from_measure))
         yield
+
+
+@pytest.fixture
+def unchecked_constructors(monkeypatch):
+    """The trusted constructors as production runs them, without the
+    validating twin above, for tests that count validations."""
+    for (cls, name), method in _UNCHECKED.items():
+        monkeypatch.setattr(cls, name, method)
 
 
 def dirac(x: float, domain: Domain = Domain.REAL_LINE) -> Measure:

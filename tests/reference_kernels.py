@@ -28,7 +28,7 @@ from __future__ import annotations
 import numpy as np
 
 from wasserline import PLF, concat_plfs, const_plf
-from wasserline.plf import _repair_monotone, _with_crossings, on_common_grid
+from wasserline.plf import _repair_monotone, _with_crossings, _without_empty_cells, on_common_grid
 from wasserline.errors import (
     DomainMismatch,
     EqualEndpoints,
@@ -265,6 +265,20 @@ def from_atoms(atoms, domain: Domain = Domain.REAL_LINE) -> Measure:
         pos = pos[keep]
         breaks = np.concatenate([[0.0], cum[keep]])
     return Measure(domain, PLF(breaks, pos, pos))
+
+
+def atoms_measure(pos: np.ndarray, w: np.ndarray, domain: Domain) -> Measure:
+    """The old ``measures._atoms_measure``, through the validating
+    constructors; it raised ``NotMonotone`` when the running total passed
+    one before the last atom."""
+    if domain is Domain.UNIT_INTERVAL and (pos[0] < 0.0 or pos[-1] > 1.0):
+        raise PositionOutOfRange("atom outside the unit interval")
+    cum = np.cumsum(w)
+    cum[-1] = 1.0
+    # cells whose width underflowed to zero (weight below one ulp of the
+    # running total) are dropped; the lost mass is far under the weight
+    # tolerance
+    return Measure(domain, _without_empty_cells(np.concatenate([[0.0], cum]), pos, pos))
 
 
 def to_measure(positions, weights, domain: Domain = Domain.REAL_LINE) -> Measure:

@@ -76,3 +76,21 @@ def test_spans_one_side_recorded_are_listed_with_that_side_only():
         "new.calls": {"change": 2},
         "new.self_s": {"change": 0.5},
     }
+
+
+def test_per_step_totals_divide_each_run_by_its_own_steps():
+    def traced(seed: int, steps: int, per_layer: dict) -> dict:
+        rec = _record("w", seed, 0.0, {})
+        rec["stamp"]["trace"] = 1
+        return {**rec, "steps": steps, "per_layer": per_layer}
+
+    # the change ran twice the steps: the same totals are half the work per step
+    same = {"plf.PLF.calls": 40, "plf.PLF.self_s": 2.0, "plf.PLF.per_distance": 4.0, "cli.import_s": 0.1}
+    parent = {("w", s, 1): traced(s, 4, same) for s in (1, 2, 3)}
+    change = {("w", s, 1): traced(s, 8 if s < 3 else 4, same) for s in (1, 2, 3)}
+    entry = bench_record.build(17, parent, change, "")["workloads"]["w"]
+    assert entry["per_layer"]["plf.PLF.calls"] == {"parent": 40, "change": 40}
+    assert entry["per_layer_per_step"] == {
+        "plf.PLF.calls": {"parent": 10.0, "change": 5.0},
+        "plf.PLF.self_s": {"parent": 0.5, "change": 0.25},
+    }

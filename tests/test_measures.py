@@ -77,6 +77,83 @@ def test_equality_requires_matching_domain():
     assert a == from_atoms([(0.5, 1.0)], domain=Domain.UNIT_INTERVAL)
 
 
+def test_trailing_weights_below_one_ulp_of_the_total_are_dropped():
+    # the running total reaches one before the last two atoms: they are
+    # zero-width cells and fall away (DiscreteMeasure.to_measure, which
+    # divides by the sum once more, keeps them)
+    atoms = [(0.0, 0.27142857142857146), (1.0, 0.7285714285714286), (2.0, 1.2e-16), (3.0, 1e-300)]
+    mu = from_atoms(atoms)
+    d = DiscreteMeasure([p for p, _ in atoms], [w for _, w in atoms])
+    assert mu.quantile.breaks.tolist() == [0.0, d.weights[0], 1.0]
+    assert [x for x, _ in mu.atoms()] == [0.0, 1.0]
+    assert wasserstein_distance(mu, d.to_measure(), 1.0) <= 1e-15
+
+
+def test_from_atoms_validates_once(unchecked_constructors):
+    # DiscreteMeasure checks the atoms; the quantile it yields is valid and
+    # canonical by construction and is neither checked nor canonicalized
+    rng = np.random.default_rng(3)
+    positions = rng.normal(size=10).tolist()
+    counted = {}
+
+    def counting(cls, name):
+        method = vars(cls)[name]
+
+        def wrapper(*args, **kwargs):
+            counted[f"{cls.__name__}.{name}"] += 1
+            return method(*args, **kwargs)
+
+        return wrapper
+
+    with pytest.MonkeyPatch.context() as mp:
+        for cls, name in ((DiscreteMeasure, "__post_init__"), (PLF, "__post_init__"), (PLF, "canonical")):
+            mp.setattr(cls, name, counting(cls, name))
+        for domain, scale in ((Domain.REAL_LINE, 1.0), (Domain.UNIT_INTERVAL, 0.1)):
+            counted.update({"DiscreteMeasure.__post_init__": 0, "PLF.__post_init__": 0, "PLF.canonical": 0})
+            mu = from_atoms([(abs(x) * scale, 0.1) for x in positions], domain=domain)
+            assert len(mu.atoms()) == 10
+            assert counted == {"DiscreteMeasure.__post_init__": 1, "PLF.__post_init__": 0, "PLF.canonical": 0}
+
+
+def test_trusted_measures_are_validated_in_the_tests():
+    # conftest routes Measure._trusted through the validating constructor
+    q = PLF(np.array([0.0, 1.0]), np.array([2.0]), np.array([2.0]))
+    with pytest.raises(PositionOutOfRange):
+        Measure._trusted(Domain.UNIT_INTERVAL, q)
+    with pytest.raises(LevelOutOfRange):
+        Measure._trusted(Domain.REAL_LINE, PLF(np.array([0.0, 0.5]), np.array([2.0]), np.array([2.0])))
+
+
+@pytest.mark.parametrize(
+    "positions, weights, domain, error",
+    [
+        ([], [], Domain.REAL_LINE, NonPositiveWeight),
+        ([0.0, float("nan")], [0.5, 0.5], Domain.REAL_LINE, PositionOutOfRange),
+        ([0.0, float("inf")], [0.5, 0.5], Domain.REAL_LINE, PositionOutOfRange),
+        ([0.0, 1.0], [1.0, 0.0], Domain.REAL_LINE, NonPositiveWeight),
+        ([0.0, 1.0], [1.5, -0.5], Domain.REAL_LINE, NonPositiveWeight),
+        ([0.0, 1.0], [0.5, float("inf")], Domain.REAL_LINE, NonPositiveWeight),
+        ([0.0, 1.0], [0.5, float("nan")], Domain.REAL_LINE, NonPositiveWeight),
+        ([0.0, 1.0], [0.5, 0.6], Domain.REAL_LINE, WeightSumOutOfTolerance),
+        ([-1e-300, 1.0], [0.5, 0.5], Domain.UNIT_INTERVAL, PositionOutOfRange),
+        ([0.0, 1.0 + 2e-16], [0.5, 0.5], Domain.UNIT_INTERVAL, PositionOutOfRange),
+    ],
+)
+def test_from_atoms_rejects_invalid_atoms_unchecked(positions, weights, domain, error, unchecked_constructors):
+    # the one validation left on this path raises the same typed errors
+    with pytest.raises(error):
+        from_atoms(zip(positions, weights), domain=domain)
+
+
+def test_clipped_flats_merge_into_one_atom():
+    # two flats a rounding error below 0 clip to the same atom at 0
+    q = PLF(np.array([0.0, 0.25, 0.5, 1.0]), np.array([-1e-13, -5e-14, 0.5]), np.array([-1e-13, -5e-14, 0.5]))
+    mu = Measure(Domain.UNIT_INTERVAL, q)
+    assert mu.atoms() == [(0.0, 0.5), (0.5, 0.5)]
+    d = DiscreteMeasure.from_measure(mu)
+    assert d.positions.tolist() == [0.0, 0.5] and d.weights.tolist() == [0.5, 0.5]
+
+
 def test_continuous_measure_reports_not_discrete():
     assert not uniform01().is_discrete
     with pytest.raises(ValueError):

@@ -50,6 +50,16 @@ def test_a_merged_grid_distance_runs_the_whole_chain():
     assert [c.args[0] for c in on_grid.call_args_list] == [mu.quantile, nu.quantile]
 
 
+def test_a_geodesic_point_merges_its_grid_once():
+    # the range check and the blend share one common grid
+    mu = from_atoms([(0.0, 0.25), (1.0, 0.75)])
+    nu = from_atoms([(0.5, 0.5), (2.0, 0.5)])
+    with mock.patch.object(plf, "common_grid", wraps=plf.common_grid) as common:
+        mid = geodesic_point(mu, nu, 0.5)
+    assert common.call_count == 1
+    assert mid == from_atoms([(0.25, 0.25), (0.75, 0.25), (1.5, 0.5)])
+
+
 def test_distances_and_the_projection_share_one_power_kernel():
     # one home for the cells of |affine|^r: a fix made there reaches both
     mu = sampling.random_unit_measure(np.random.default_rng(5))

@@ -28,7 +28,12 @@ per-layer medians (every counter the trace table holds, as totals over
 that run's steps) under ``per_layer``; a counter that not every traced
 run recorded, such as a span that appears or disappears with the change,
 is listed under ``per_layer_one_side`` with the median of each side's
-runs that recorded it.  The commits, source digests, seeds, ``run_seconds``
+runs that recorded it.  A traced run repeats as many steps as its timed
+phase completed, so those totals cover different work on the two sides;
+``per_layer_per_step`` divides each run's totals (counts, self times and
+other sums) by that run's own ``steps`` before taking the median per
+side.  Ratios (unit ``ratio`` in ``BENCHMARK.json``) and the cold-CLI
+``cli.*`` times are not totals over the steps and are left out of it.  The commits, source digests, seeds, ``run_seconds``
 and the host come from the records' stamps.
 """
 
@@ -80,6 +85,7 @@ def _one(recs: list[dict], key: str) -> list:
 def build(pr: int, parent: dict, change: dict, note: str) -> dict:
     bench = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
     gated = {m["name"]: m for m in bench["end_to_end"]}
+    ratios = {m["name"] for m in bench["per_layer"] if m["unit"] == "ratio"}
     pairs = sorted(k for k in parent if k in change)
     if not pairs:
         raise SystemExit("no workload and seed was run on both sides")
@@ -130,6 +136,12 @@ def build(pr: int, parent: dict, change: dict, note: str) -> dict:
             entry["per_layer"] = {
                 name: {side: statistics.median(recs[k]["per_layer"][name] for k in traced) for side, recs in sides}
                 for name in sorted(names)
+            }
+            entry["per_layer_per_step"] = {
+                name: {side: statistics.median(recs[k]["per_layer"][name] / recs[k]["steps"] for k in traced)
+                       for side, recs in sides}
+                for name in sorted(names)
+                if name not in ratios and not name.startswith("cli.")
             }
             # a span that appears or disappears: the median over the runs
             # that recorded it, per side that did
