@@ -4,6 +4,7 @@ the two-point chart, Dirac distances, and JSON round trips."""
 from __future__ import annotations
 
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -92,27 +93,20 @@ def test_trailing_weights_below_one_ulp_of_the_total_are_dropped():
 def test_from_atoms_validates_once(unchecked_constructors):
     # DiscreteMeasure checks the atoms; the quantile it yields is valid and
     # canonical by construction and is neither checked nor canonicalized
-    rng = np.random.default_rng(3)
-    positions = rng.normal(size=10).tolist()
-    counted = {}
-
-    def counting(cls, name):
-        method = vars(cls)[name]
-
-        def wrapper(*args, **kwargs):
-            counted[f"{cls.__name__}.{name}"] += 1
-            return method(*args, **kwargs)
-
-        return wrapper
-
-    with pytest.MonkeyPatch.context() as mp:
-        for cls, name in ((DiscreteMeasure, "__post_init__"), (PLF, "__post_init__"), (PLF, "canonical")):
-            mp.setattr(cls, name, counting(cls, name))
+    positions = np.random.default_rng(3).normal(size=10)
+    with (
+        mock.patch.object(
+            DiscreteMeasure, "__post_init__", autospec=True, side_effect=DiscreteMeasure.__post_init__
+        ) as atom_checks,
+        mock.patch.object(PLF, "__post_init__", autospec=True, side_effect=PLF.__post_init__) as plf_checks,
+        mock.patch.object(PLF, "canonical", autospec=True, side_effect=PLF.canonical) as canonical,
+    ):
         for domain, scale in ((Domain.REAL_LINE, 1.0), (Domain.UNIT_INTERVAL, 0.1)):
-            counted.update({"DiscreteMeasure.__post_init__": 0, "PLF.__post_init__": 0, "PLF.canonical": 0})
-            mu = from_atoms([(abs(x) * scale, 0.1) for x in positions], domain=domain)
+            for m in (atom_checks, plf_checks, canonical):
+                m.reset_mock()
+            mu = from_atoms([(abs(x) * scale, 0.1) for x in positions.tolist()], domain=domain)
             assert len(mu.atoms()) == 10
-            assert counted == {"DiscreteMeasure.__post_init__": 1, "PLF.__post_init__": 0, "PLF.canonical": 0}
+            assert (atom_checks.call_count, plf_checks.call_count, canonical.call_count) == (1, 0, 0)
 
 
 def test_trusted_measures_are_validated_in_the_tests():
