@@ -20,6 +20,11 @@ def _same_bits(got: np.ndarray, want: np.ndarray) -> None:
     assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
 
 
+def _same_plf(got: PLF, want: PLF) -> None:
+    for name in ("breaks", "yl", "yr"):
+        _same_bits(getattr(got, name), getattr(want, name))
+
+
 # the constructors that skip validation, as the library defines them
 _UNCHECKED = {
     (PLF, "_trusted"): vars(PLF)["_trusted"],
@@ -41,19 +46,14 @@ def validate_trusted_constructions():
     def checked_plf(cls, breaks, yl, yr):
         valid = PLF(breaks, yl, yr)
         f = trusted_plf(cls, breaks, yl, yr)
-        for got, want in ((f.breaks, valid.breaks), (f.yl, valid.yl), (f.yr, valid.yr)):
-            _same_bits(got, want)
+        _same_plf(f, valid)
         return f
 
     def checked_measure(cls, domain, q):
         valid = Measure(domain, q)
         mu = trusted_measure(cls, domain, q)
         assert mu.domain is valid.domain
-        for got, want in zip(
-            (mu.quantile.breaks, mu.quantile.yl, mu.quantile.yr),
-            (valid.quantile.breaks, valid.quantile.yl, valid.quantile.yr),
-        ):
-            _same_bits(got, want)
+        _same_plf(mu.quantile, valid.quantile)
         return mu
 
     def checked_from_measure(cls, mu):

@@ -33,8 +33,9 @@ phase completed, so those totals cover different work on the two sides;
 ``per_layer_per_step`` divides each run's totals (counts, self times and
 other sums) by that run's own ``steps`` before taking the median per
 side.  Ratios (unit ``ratio`` in ``BENCHMARK.json``) and the cold-CLI
-``cli.*`` times are not totals over the steps and are left out of it.  The commits, source digests, seeds, ``run_seconds``
-and the host come from the records' stamps.
+``cli.*`` times are not totals over the steps and are left out of it.
+The commits, source digests, seeds, ``run_seconds`` and the host come
+from the records' stamps.
 """
 
 from __future__ import annotations
