@@ -281,13 +281,6 @@ def atoms_measure(pos: np.ndarray, w: np.ndarray, domain: Domain) -> Measure:
     return Measure(domain, _without_empty_cells(np.concatenate([[0.0], cum]), pos, pos))
 
 
-def to_measure(positions, weights, domain: Domain = Domain.REAL_LINE) -> Measure:
-    """The old ``DiscreteMeasure.to_measure``, via ``.atoms`` tuples."""
-    pos, w = discrete_arrays(positions, weights)
-    atoms = [(float(x), float(m)) for x, m in zip(pos, w)]
-    return from_atoms(atoms, domain=domain)
-
-
 def from_measure(mu: Measure) -> tuple[np.ndarray, np.ndarray]:
     atoms = mu.atoms()
     return discrete_arrays([a for a, _ in atoms], [m for _, m in atoms])

@@ -37,10 +37,11 @@ from wasserline import (
     pushforward_affine,
     quantile_eval,
     sampling,
+    transport_lp_oracle,
     two_point_from_param,
     wasserstein_distance,
 )
-from conftest import dirac, uniform01
+from conftest import _same_bits, dirac, uniform01
 
 
 # ----------------------------------------------------------------------
@@ -80,14 +81,91 @@ def test_equality_requires_matching_domain():
 
 def test_trailing_weights_below_one_ulp_of_the_total_are_dropped():
     # the running total reaches one before the last two atoms: they are
-    # zero-width cells and fall away (DiscreteMeasure.to_measure, which
-    # divides by the sum once more, keeps them)
+    # zero-width cells and fall away
     atoms = [(0.0, 0.27142857142857146), (1.0, 0.7285714285714286), (2.0, 1.2e-16), (3.0, 1e-300)]
     mu = from_atoms(atoms)
     d = DiscreteMeasure([p for p, _ in atoms], [w for _, w in atoms])
     assert mu.quantile.breaks.tolist() == [0.0, d.weights[0], 1.0]
     assert [x for x, _ in mu.atoms()] == [0.0, 1.0]
     assert wasserstein_distance(mu, d.to_measure(), 1.0) <= 1e-15
+
+
+def test_to_measure_gives_a_weight_far_below_one_ulp_no_mass():
+    # dividing the normalized weights by their sum again left the running
+    # total an ulp short of one, so the atom at 1e10 got an ulp of mass
+    positions = [0.0, 1.0, 2.0, 1e10]
+    weights = [0.27142857142857146, 0.7285714285714286, 1.2e-16, 1e-300]
+    d = DiscreteMeasure(positions, weights)
+    mu = d.to_measure()
+    assert mu == from_atoms(zip(positions, weights))
+    want = transport_lp_oracle(d, DiscreteMeasure([0.0], [1.0]), 1.0)
+    assert wasserstein_distance(mu, dirac(0.0), 1.0) == pytest.approx(want, rel=1e-14)
+
+
+def sorted_and_merged(positions, weights):
+    """The documented atom rule, written out: a stable sort by position,
+    then each run of tied positions merged into its first position in
+    input order, with the weights of the run added in input order, and
+    every weight divided by the total of the input weights."""
+    order = sorted(range(len(positions)), key=lambda i: positions[i])  # stable
+    xs, ws = [], []
+    for i in order:
+        if xs and positions[i] == xs[-1]:
+            ws[-1] += weights[i]
+        else:
+            xs.append(positions[i])
+            ws.append(weights[i])
+    total = float(np.sum(weights))
+    return np.array(xs), np.array([x / total for x in ws])
+
+
+@st.composite
+def atom_lists(draw):
+    n = draw(st.integers(1, 12))
+    tied = st.sampled_from([-1.0, -0.0, 0.0, 0.5, 1.0])
+    positions = draw(st.lists(tied | st.floats(-1e3, 1e3), min_size=n, max_size=n))
+    if draw(st.booleans()):
+        positions.sort()
+    if draw(st.booleans()):
+        return positions, [1.0 / n] * n
+    raw = draw(st.lists(st.floats(1e-3, 1.0), min_size=n, max_size=n))
+    return positions, [r / sum(raw) for r in raw]
+
+
+@settings(max_examples=200, deadline=None)
+@given(atom_lists())
+@example(([0.0, 1.0, 2.5], [0.2, 0.3, 0.5]))  # sorted, distinct
+@example(([2.0, -1.0, 0.5, 3.0], [0.25] * 4))  # unsorted, equal weights
+@example(([1.0, 0.0, -0.0, -1.0], [0.25] * 4))  # equal weights, a signed-zero tie
+@example(([0.0, 1.0, 1.0, 2.0], [0.1, 0.2, 0.3, 0.4]))  # sorted, a tie
+@example(([2.0, -1.0, 0.5], [0.2, 0.3, 0.5]))  # unsorted, unequal weights
+@example(([3.0], [1.0]))  # one atom
+def test_atoms_follow_the_stable_sort_and_merge_rule(case):
+    positions, weights = case
+    d = DiscreteMeasure(positions, weights)
+    xs, ws = sorted_and_merged(positions, weights)
+    _same_bits(d.positions, xs)
+    _same_bits(d.weights, ws)
+
+
+@pytest.mark.parametrize(
+    "positions, weights",
+    [
+        ([0.0, 1.0, 2.0], [0.25, 0.25, 0.5]),  # sorted
+        ([2.0, 0.0, 3.0, 1.0], [0.25] * 4),  # equal weights
+        ([2.0, 0.0, 1.0], [0.25, 0.25, 0.5]),  # neither
+    ],
+)
+def test_measures_never_alias_their_input(positions, weights):
+    p, w = np.array(positions), np.array(weights)
+    d = DiscreteMeasure(p, w)
+    mu = from_atoms(zip(p, w))
+    stored = [d.positions, d.weights, mu.quantile.breaks, mu.quantile.yl, mu.quantile.yr]
+    want = [a.copy() for a in stored]
+    p[:] = -5.0
+    w[:] = 9.0
+    for a, b in zip(stored, want):
+        _same_bits(a, b)
 
 
 def test_from_atoms_validates_once(unchecked_constructors):
