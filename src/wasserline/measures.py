@@ -17,7 +17,13 @@ inside their domain by construction take ``Measure._trusted`` instead:
 ``from_atoms`` and ``DiscreteMeasure.to_measure`` (sorted distinct atoms
 after ``DiscreteMeasure``'s checks give flat cells with jumps between
 them, on cumulative weights clamped at one, with the unit-interval check
-made first) and the M_n elements of ``interval``.
+made first), the M_n elements of ``interval`` and ``flip`` (the CDF of
+a canonical quantile on [0, 1] is canonical, and its values are levels
+in [0, 1]; the one exception, where a cell narrower than 2**-537 lets
+``canonical``'s products underflow, goes through ``Measure(...)``).
+Maps whose rounding can make two segments collinear (value maps,
+blends, reflections) keep ``Measure(...)``'s ``canonical``, on a
+``PLF`` that is not validated again.
 ``DiscreteMeasure.from_measure`` reads a discrete measure's atoms as they
 are, sorted and distinct, and only normalizes their masses.
 
@@ -47,11 +53,14 @@ from .errors import (
     TooManyAtoms,
     WeightSumOutOfTolerance,
 )
-from .plf import PLF
+from .plf import PLF, _without_empty_cells
 
 WEIGHT_TOL = 1e-9
 # slack for values that should sit in [0, 1] but picked up rounding noise
 _UNIT_SLACK = 1e-12
+# two widths of at least 2**-537 multiply to at least 2**-1074, which does
+# not underflow to zero; on [0, 1] a narrower cell ends below 2**-484
+_UNDERFLOW_BREAK = 2.0**-484
 
 
 class Domain(enum.Enum):
@@ -79,7 +88,7 @@ class Measure:
                 )
             if lo < 0.0 or hi > 1.0:
                 # clipped flats at an end may now be equal neighbours
-                q = PLF(q.breaks, np.clip(q.yl, 0.0, 1.0), np.clip(q.yr, 0.0, 1.0)).canonical()
+                q = PLF._trusted(q.breaks, np.clip(q.yl, 0.0, 1.0), np.clip(q.yr, 0.0, 1.0)).canonical()
         object.__setattr__(self, "quantile", q)
 
     @classmethod
@@ -324,12 +333,13 @@ def pushforward_affine(mu: Measure, orientation: int, offset: float) -> Measure:
     if orientation == 1:
         if offset == 0.0:
             return mu
-        return Measure(mu.domain, PLF(q.breaks, q.yl + offset, q.yr + offset))
-    # reflection reverses level space: Q'(y) = offset - Q((1-y)-)
+        return Measure(mu.domain, q.map_values(1.0, offset))
+    # reflection reverses level space: Q'(y) = offset - Q((1-y)-); a level
+    # cell narrower than an ulp of one can round to zero width and is dropped
     nb = 1.0 - q.breaks[::-1]
     nb[0] = 0.0
     nb[-1] = 1.0
-    return Measure(mu.domain, PLF(nb, offset - q.yr[::-1], offset - q.yl[::-1]))
+    return Measure(mu.domain, _without_empty_cells(nb, offset - q.yr[::-1], offset - q.yl[::-1]))
 
 
 def flip(mu: Measure) -> Measure:
@@ -339,7 +349,18 @@ def flip(mu: Measure) -> Measure:
     """
     if mu.domain is not Domain.UNIT_INTERVAL:
         raise DomainMismatch("flip is defined on unit-interval measures")
-    return Measure(Domain.UNIT_INTERVAL, mu.quantile.padded_inverse(0.0, 1.0))
+    q = mu.quantile
+    cdf = q.padded_inverse(0.0, 1.0)
+    # The CDF's values are levels in [0, 1], and it is canonical as q is:
+    # two of its rising pieces meet where two rising cells of q meet, and
+    # canonical's collinearity test multiplies the same two products in
+    # swapped order; two flats never meet.  A flat and a rising piece test
+    # collinear only when their product underflows to zero, which needs a
+    # cell of q or of the CDF narrower than 2**-537, and so a first inner
+    # break below 2**-484.
+    if min(cdf.breaks[1], q.breaks[1]) < _UNDERFLOW_BREAK:
+        return Measure(Domain.UNIT_INTERVAL, cdf)
+    return Measure._trusted(Domain.UNIT_INTERVAL, cdf)
 
 
 # ----------------------------------------------------------------------

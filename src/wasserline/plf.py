@@ -22,17 +22,31 @@ Every ``PLF`` array is read-only.  ``PLF(...)`` validates and copies;
 monotone by construction: ``on_grid`` (each cell ends on its segment's
 ``yr``, a cell that starts a segment starts on its ``yl``, and every
 other node is pinned in its segment), ``restrict``/``canonical`` (parts
-of a valid function), ``inverse`` (after its tiling check), ``minimum``/``maximum`` (pointwise
-extremes of monotone nodes), ``concat_plfs`` (after its seam checks) and
-the M_n element that ``interval.mn_element`` builds after its checks and
+of a valid function), ``inverse`` (after its tiling check) and the
+constant pads of ``padded_inverse`` (the public ``const_plf``
+validates), ``minimum``/``maximum`` (pointwise extremes of monotone
+nodes), ``concat_plfs`` (after its seam checks), the M_n element that
+``interval.mn_element`` builds after its checks and
 ``interval.nearest_in_mn`` builds from positions clipped to [0, 1] and
 made nondecreasing by a running maximum (one atom per run of equal
-positions, on the breaks k/m), and the quantile of
+positions, on the breaks k/m), the quantile of
 ``measures.from_atoms``/``DiscreteMeasure.to_measure`` (sorted distinct
 finite atoms after ``DiscreteMeasure``'s checks, on cumulative weights
-clamped at one with the zero-width cells dropped).
-``plf_combine`` and the geodesic blend ``_blend`` behind it (a signed
-blend may decrease) and ``map_values`` (overflow reaches inf) validate.
+clamped at one with the zero-width cells dropped), ``Measure``'s clip
+into [0, 1] (clipping is monotone) and ``sampling.random_unit_measure``
+(sorted draws with the zero-width cells dropped).
+
+Values nondecreasing by construction that an overflow or a non-finite
+factor can still spoil go through ``_finite_ends``, which checks the two
+end nodes alone: ``map_values`` (x -> shift + scale*x with scale >= 0 is
+nondecreasing under rounding), ``_blend`` with nonnegative coefficients
+(a sum of nondecreasing terms stays nondecreasing under rounding),
+behind ``plf_combine``, ``Translation``, ``convex_hull_combination`` and
+``geodesic_point`` for s in [0, 1], and ``_without_empty_cells``
+(nondecreasing breaks and values), behind the reflections,
+``SplitEmbedding`` and the midpoint probe's junction shifts.  A signed
+blend (geodesic extrapolation) may decrease: ``_repair_monotone``
+flattens rounding noise and ``PLF(...)`` validates the result.
 
 Each numeric idea has one private home: ``_nodes`` (the values in level
 order), ``_envelope`` (min or max of a pair from ``_with_crossings``),
@@ -53,6 +67,7 @@ tree, so the sum has the bits of a single pass.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -252,10 +267,14 @@ class PLF:
     # algebra
 
     def map_values(self, scale: float, shift: float) -> "PLF":
-        """Affine action on values; ``scale`` must be nonnegative."""
+        """Affine action on values; ``scale`` must be nonnegative.
+
+        Rounding keeps x -> shift + scale*x nondecreasing for scale >= 0,
+        so only an overflow or a non-finite scale or shift can make the
+        result invalid, and ``_finite_ends`` sees either."""
         if scale < 0:
             raise ValueError("negative scale would reverse monotonicity")
-        return PLF(self.breaks, shift + scale * self.yl, shift + scale * self.yr)
+        return _finite_ends(self.breaks, shift + scale * self.yl, shift + scale * self.yr)
 
     # ------------------------------------------------------------------
     # min / max / clip
@@ -333,15 +352,17 @@ class PLF:
         its band of the image quantile.
         """
         v0, v1 = self.value_range
-        if not (lo <= v0 and v1 <= hi and lo < hi):
-            raise ValueError("the window must contain the value range")
+        lo, hi = float(lo), float(hi)
+        if not (-np.inf < lo <= v0 and v1 <= hi < np.inf and lo < hi):  # NaN fails too
+            raise ValueError("the window must be finite and contain the value range")
         if v0 == v1:  # the jump sits at yl[0]; yr[-1] may be a zero of the other sign
             v1 = v0
-        pieces = [const_plf(lo, v0, self.breaks[0])] if lo < v0 else []
+        b = self.breaks
+        pieces = [PLF._trusted(np.array([lo, v0]), b[:1], b[:1])] if lo < v0 else []
         if v0 < v1:
             pieces.append(self.inverse())
         if v1 < hi:
-            pieces.append(const_plf(v1, hi, self.breaks[-1]))
+            pieces.append(PLF._trusted(np.array([v1, hi]), b[-1:], b[-1:]))
         return concat_plfs(pieces)
 
     # ------------------------------------------------------------------
@@ -401,14 +422,15 @@ def concat_plfs(pieces: list[PLF]) -> PLF:
 
 
 def _without_empty_cells(breaks: np.ndarray, yl: np.ndarray, yr: np.ndarray) -> PLF:
-    """PLF on nondecreasing ``breaks``, with the cells of zero width
-    dropped.  A dropped cell's values lie between its neighbours', so the
-    function stays monotone."""
+    """PLF on finite nondecreasing ``breaks`` and nondecreasing values,
+    with the cells of zero width dropped.  A dropped cell's values lie
+    between its neighbours', so the function stays monotone, and
+    ``_finite_ends`` checks the values for an overflow."""
     keep = np.diff(breaks) > 0.0
     if not keep.all():
         breaks = np.append(breaks[:-1][keep], breaks[-1])
         yl, yr = yl[keep], yr[keep]
-    return PLF(breaks, yl, yr)
+    return _finite_ends(breaks, yl, yr)
 
 
 def common_grid(*fns: PLF, points: list[np.ndarray] | tuple = ()) -> tuple:
@@ -513,7 +535,11 @@ def plf_combine(fns: list[PLF], coeffs) -> PLF:
 
 
 def _blend(grid: np.ndarray, fns, coeffs) -> PLF:
-    """``plf_combine`` of functions already on ``grid``, validated."""
+    """``plf_combine`` of functions already on ``grid``.
+
+    With nonnegative coefficients every term and every partial sum stays
+    nondecreasing under rounding, so ``_finite_ends`` is the only check
+    left.  A signed blend may decrease: it is repaired and validated."""
     coeffs = np.asarray(coeffs, dtype=np.float64)
     yl = np.zeros(len(grid) - 1)
     yr = np.zeros(len(grid) - 1)
@@ -521,8 +547,19 @@ def _blend(grid: np.ndarray, fns, coeffs) -> PLF:
         yl = yl + c * h.yl
         yr = yr + c * h.yr
     if np.any(coeffs < 0.0):
-        yl, yr = _repair_monotone(yl, yr)
-    return PLF(grid, yl, yr)
+        return PLF(grid, *_repair_monotone(yl, yr))
+    return _finite_ends(grid, yl, yr)
+
+
+def _finite_ends(breaks: np.ndarray, yl: np.ndarray, yr: np.ndarray) -> PLF:
+    """``PLF._trusted`` of strictly increasing ``breaks`` and values that
+    are nondecreasing unless some of them overflowed or are NaN.  In a
+    nondecreasing sequence the two end nodes bound every other one, and
+    an inf or NaN that an overflow, an infinite or a NaN factor puts
+    anywhere also reaches an end node, so the ends are checked alone."""
+    if not (math.isfinite(yl[0]) and math.isfinite(yr[-1])):
+        raise ValueError("non-finite entry in a PLF array")
+    return PLF._trusted(breaks, yl, yr)
 
 
 def _nodes(yl: np.ndarray, yr: np.ndarray) -> np.ndarray:

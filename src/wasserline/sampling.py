@@ -56,7 +56,10 @@ def random_unit_measure(rng: np.random.Generator, dyadic_bits: int | None = None
     yr[flat] = yl[flat]
     glue = rng.random(m - 1) < 0.5 if m > 1 else np.zeros(0, dtype=bool)
     yl[1:][glue] = yr[:-1][glue]
-    return Measure(Domain.UNIT_INTERVAL, PLF(breaks, yl, yr))
+    # sorted draws with the zero-width cells dropped: strictly increasing
+    # breaks and nondecreasing nodes; flats and glue only lower a node
+    # onto the one before it
+    return Measure(Domain.UNIT_INTERVAL, PLF._trusted(breaks, yl, yr))
 
 
 def random_real_measure(rng: np.random.Generator) -> Measure:

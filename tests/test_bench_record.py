@@ -43,7 +43,7 @@ def test_status_rules(parent, change, lower, want):
 def _record(workload: str, seed: int, fail_ratio: float, metrics: dict) -> dict:
     stamp = {"workload": workload, "seed": seed, "trace": 0, "seconds": 20.0, "commit": "c", "source_sha1": "s",
              "machine": "x86_64", "nproc": 2, "cpus_usable": 2, "platform": "p", "python": "3", "numpy": "2"}
-    return {"stamp": stamp, "headline": {"fail_ratio": [fail_ratio]}, "metrics": metrics}
+    return {"stamp": stamp, "headline": {"fail_ratio": [fail_ratio]}, "metrics": metrics, "kinds": {}}
 
 
 def test_rejects_name_worse_metrics_and_a_larger_fail_ratio():
@@ -94,3 +94,18 @@ def test_per_step_totals_divide_each_run_by_its_own_steps():
         "plf.PLF.calls": {"parent": 10.0, "change": 5.0},
         "plf.PLF.self_s": {"parent": 0.5, "change": 0.25},
     }
+
+
+def test_kinds_table_compares_each_kinds_typical_call():
+    names = ("setup_s", "peak_rss_mb", "read_ms", "build_ms", "cli_cold_ms")
+
+    def timed(seed: int, kinds: dict) -> dict:
+        rec = _record("w", seed, 0.0, dict.fromkeys(names, 1.0))
+        return {**rec, "kinds": {kind: {"n": 5, "calls": 1, "typical_s": s} for kind, s in kinds.items()}}
+
+    # build.flip halves in two of three pairs; read.d is timed on the parent only
+    parent = {("w", s, 0): timed(s, {"build.flip": 4e-3, "read.d": 1e-3}) for s in (1, 2, 3)}
+    change = {("w", s, 0): timed(s, {"build.flip": 2e-3 if s < 3 else 5e-3}) for s in (1, 2, 3)}
+    kinds = bench_record.build(19, parent, change, "")["workloads"]["w"]["kinds"]
+    flip = {"parent_s": 4e-3, "change_s": 2e-3, "relative_change": -0.5, "change_better_pairs": 2, "pairs": 3}
+    assert kinds == {"build.flip": flip}

@@ -138,6 +138,34 @@ def test_barycentric_reflection_fixes_symmetric_measures():
     assert apply(BarycentricReflection(), sym) == sym
 
 
+@pytest.mark.parametrize(
+    "reflection, domain",
+    [
+        (Trivial(-1, 3.0), Domain.REAL_LINE),
+        (BarycentricReflection(), Domain.REAL_LINE),
+        (Trivial(-1, 1.0), Domain.UNIT_INTERVAL),
+    ],
+    ids=["trivial", "barycentric", "unit"],
+)
+def test_reflections_drop_a_level_cell_they_collapse(reflection, domain):
+    # the bottom cell is narrower than half an ulp of 1; reflected, it
+    # rounds to zero width and used to raise NotMonotone
+    mu = from_atoms([(0.2, 1e-20), (0.7, 1.0 - 1e-20)], domain=domain)
+    offset = 2.0 * barycenter(mu) if isinstance(reflection, BarycentricReflection) else reflection.offset
+    assert apply(reflection, mu).atoms() == [(offset - 0.7, 1.0)]
+
+
+@pytest.mark.parametrize(
+    "iso, x",
+    [(Translation(dirac(1e308)), 1e308), (Trivial(1, 1e308), 1e308), (Trivial(-1, 1e308), -1e308),
+     (SplitEmbedding.default(), 1e308)],
+    ids=["translation", "shift", "reflection", "split"],
+)
+def test_maps_that_overflow_raise_unchecked(iso, x, unchecked_constructors):
+    with np.errstate(over="ignore"), pytest.raises(ValueError, match="non-finite"):
+        apply(iso, dirac(x))
+
+
 # ----------------------------------------------------------------------
 # the exotic flow
 

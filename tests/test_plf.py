@@ -201,6 +201,35 @@ def test_maps_keep_the_construction_gates():
         f.map_values(1e308, 0.0)  # 2e308 overflows to inf
 
 
+# the checks left where a result is nondecreasing by construction: an
+# overflow or a non-finite factor, and a signed blend's decrease
+
+
+@pytest.mark.parametrize(
+    "scale, shift",
+    [(1e308, 0.0), (math.nan, 0.0), (math.inf, 0.0), (1.0, math.nan), (1.0, math.inf), (1.0, -math.inf)],
+)
+def test_value_maps_reject_non_finite_results_unchecked(scale, shift, unchecked_constructors):
+    with np.errstate(all="ignore"), pytest.raises(ValueError, match="non-finite"):
+        rising_then_flat().map_values(scale, shift)
+
+
+def test_blends_reject_an_overflow_and_a_decrease_unchecked(unchecked_constructors):
+    big = PLF(np.array([0.0, 0.5, 1.0]), np.array([1e308, 1.5e308]), np.array([1.2e308, 1.6e308]))
+    with np.errstate(over="ignore"), pytest.raises(ValueError, match="non-finite"):
+        plf_combine([big, big], [1.0, 1.0])
+    ramp = PLF(np.array([0.0, 1.0]), np.array([0.0]), np.array([1.0]))
+    steep = PLF(np.array([0.0, 1.0]), np.array([0.0]), np.array([3.0]))
+    with pytest.raises(NotMonotone):
+        plf_combine([ramp, steep], [2.0, -1.0])  # x -> -x
+
+
+@pytest.mark.parametrize("lo, hi", [(-math.inf, 5.0), (-1.0, math.inf), (math.nan, 5.0)])
+def test_padded_inverse_needs_a_finite_window_unchecked(lo, hi, unchecked_constructors):
+    with pytest.raises(ValueError):
+        rising_then_flat().padded_inverse(lo, hi)
+
+
 def test_scalar_envelope_clips():
     f = PLF(np.array([0.0, 1.0]), np.array([-1.0]), np.array([1.0]))
     clipped = f.minimum(0.0)

@@ -19,7 +19,11 @@ the change was the better side, and a status read from those runs:
                   median beats the parent's by more than the parent's IQR
     within_bound  any other case
 
-The first rule that holds gives the status.  The top-level ``rejects``
+The first rule that holds gives the status.  Each timed record also
+times every read and build kind (its ``kinds[*].typical_s``); an ungated
+``kinds`` table per workload holds, for each kind that every timed run
+recorded, each side's median of those seconds, the relative change and
+in how many pairs the change was faster.  The top-level ``rejects``
 list names, as ``workload/metric``, each metric whose status is
 ``worse`` and, as ``workload/fail_ratio``, each workload whose change
 fails a larger share of operations than its parent: the two conditions
@@ -125,6 +129,16 @@ def build(pr: int, parent: dict, change: dict, note: str) -> dict:
                     "change_better_pairs": wins,
                     "pairs": len(timed),
                     "status": _status(pa, pb, wins, spec["bound"], lower),
+                }
+            timed_recs = [recs[k] for recs in (parent, change) for k in timed]
+            entry["kinds"] = {}
+            for kind in sorted(set.intersection(*(set(r["kinds"]) for r in timed_recs))):
+                a = [parent[k]["kinds"][kind]["typical_s"] for k in timed]
+                b = [change[k]["kinds"][kind]["typical_s"] for k in timed]
+                pa, pb = statistics.median(a), statistics.median(b)
+                entry["kinds"][kind] = {
+                    "parent_s": pa, "change_s": pb, "relative_change": pb / pa - 1.0,
+                    "change_better_pairs": sum(y < x for x, y in zip(a, b)), "pairs": len(timed),
                 }
         traced = [k for k in pairs if k[0] == workload and k[2] == 1]
         if traced:
