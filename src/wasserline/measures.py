@@ -17,13 +17,11 @@ inside their domain by construction take ``Measure._trusted`` instead:
 ``from_atoms`` and ``DiscreteMeasure.to_measure`` (sorted distinct atoms
 after ``DiscreteMeasure``'s checks give flat cells with jumps between
 them, on cumulative weights clamped at one, with the unit-interval check
-made first), the M_n elements of ``interval`` and ``flip`` (the CDF of
-a canonical quantile on [0, 1] is canonical, and its values are levels
-in [0, 1]; the one exception, where a cell narrower than 2**-537 lets
-``canonical``'s products underflow, goes through ``Measure(...)``).
+made first) and the M_n elements of ``interval``.
 Maps whose rounding can make two segments collinear (value maps,
 blends, reflections) keep ``Measure(...)``'s ``canonical``, on a
-``PLF`` that is not validated again.
+``PLF`` that is not validated again; ``flip`` builds ``Measure(...)``
+on the validated pads of ``padded_inverse``.
 ``DiscreteMeasure.from_measure`` reads a discrete measure's atoms as they
 are, sorted and distinct, and only normalizes their masses.
 
@@ -58,9 +56,6 @@ from .plf import PLF, _without_empty_cells
 WEIGHT_TOL = 1e-9
 # slack for values that should sit in [0, 1] but picked up rounding noise
 _UNIT_SLACK = 1e-12
-# two widths of at least 2**-537 multiply to at least 2**-1074, which does
-# not underflow to zero; on [0, 1] a narrower cell ends below 2**-484
-_UNDERFLOW_BREAK = 2.0**-484
 
 
 class Domain(enum.Enum):
@@ -349,18 +344,7 @@ def flip(mu: Measure) -> Measure:
     """
     if mu.domain is not Domain.UNIT_INTERVAL:
         raise DomainMismatch("flip is defined on unit-interval measures")
-    q = mu.quantile
-    cdf = q.padded_inverse(0.0, 1.0)
-    # The CDF's values are levels in [0, 1], and it is canonical as q is:
-    # two of its rising pieces meet where two rising cells of q meet, and
-    # canonical's collinearity test multiplies the same two products in
-    # swapped order; two flats never meet.  A flat and a rising piece test
-    # collinear only when their product underflows to zero, which needs a
-    # cell of q or of the CDF narrower than 2**-537, and so a first inner
-    # break below 2**-484.
-    if min(cdf.breaks[1], q.breaks[1]) < _UNDERFLOW_BREAK:
-        return Measure(Domain.UNIT_INTERVAL, cdf)
-    return Measure._trusted(Domain.UNIT_INTERVAL, cdf)
+    return Measure(Domain.UNIT_INTERVAL, mu.quantile.padded_inverse(0.0, 1.0))
 
 
 # ----------------------------------------------------------------------

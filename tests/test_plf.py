@@ -104,6 +104,16 @@ def test_canonical_merges_collinear_segments():
     assert g.canonical().equals(g)  # idempotent
 
 
+@pytest.mark.parametrize("flat_first", [True, False])
+def test_canonical_keeps_a_flat_apart_from_a_rise_whose_products_underflow(flat_first):
+    # 1e-170 * 1e-300 rounds to zero, as does the flat's 0 * width
+    if flat_first:
+        f = PLF(np.array([0.0, 1e-300, 2e-300]), np.array([0.0, 0.0]), np.array([0.0, 1e-170]))
+    else:
+        f = PLF(np.array([0.0, 1e-300, 2e-300]), np.array([0.0, 1e-170]), np.array([1e-170, 1e-170]))
+    assert f.canonical().equals(f)
+
+
 def test_equals_is_exact():
     f = PLF(np.array([0.0, 1.0]), np.array([0.0]), np.array([1.0]))
     g = PLF(np.array([0.0, 1.0]), np.array([0.0]), np.array([1.0 + 1e-16]))
