@@ -105,13 +105,19 @@ class PLF:
             raise ValueError("segment arrays do not match the break count")
         if len(yl) == 0:
             raise ValueError("a PLF needs at least one segment")
-        for a in (breaks, yl, yr):
-            if not np.isfinite(a).all():
-                raise ValueError("non-finite entry in a PLF array")
-        if not (breaks[1:] > breaks[:-1]).all():
-            raise NotMonotone("breakpoints must be strictly increasing")
-        if (yr < yl).any() or (yl[1:] < yr[:-1]).any():
+        # every entry takes part in one of these comparisons and a NaN fails
+        # it, and in increasing order only an end can be infinite, so the
+        # full finiteness scan runs only to name the fault
+        rising = (breaks[1:] > breaks[:-1]).all()
+        if not (rising and (yr >= yl).all() and (yl[1:] >= yr[:-1]).all()):
+            for a in (breaks, yl, yr):
+                if not np.isfinite(a).all():
+                    raise ValueError("non-finite entry in a PLF array")
+            if not rising:
+                raise NotMonotone("breakpoints must be strictly increasing")
             raise NotMonotone("segment values must be nondecreasing")
+        if not all(map(math.isfinite, (breaks[0], breaks[-1], yl[0], yr[-1]))):
+            raise ValueError("non-finite entry in a PLF array")
         for name, a in (("breaks", breaks), ("yl", yl), ("yr", yr)):
             a = a.copy()
             a.setflags(write=False)

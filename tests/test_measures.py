@@ -390,16 +390,6 @@ def test_flip_is_a_bitwise_involution_on_dyadic_measures(seed):
     assert flip(flip(mu)) == mu
 
 
-def test_flip_keeps_a_flat_apart_from_a_rise_whose_products_underflow():
-    # the CDF rises by 1e-170 over [0, 1e-300] and stays flat across the
-    # jump over [1e-300, 2e-300]; 1e-170 * 1e-300 rounds to zero, and
-    # canonical used to glue the two into one rise over [0, 2e-300]
-    q = PLF(np.array([0.0, 1e-170, 1.0]), np.array([0.0, 2e-300]), np.array([1e-300, 0.5]))
-    out = flip(Measure(Domain.UNIT_INTERVAL, q))
-    assert out.quantile.num_segments == 4
-    assert out.quantile.eval(1.5e-300) == 1e-170
-
-
 def test_flip_preserves_w1():
     rng = np.random.default_rng(8)
     for _ in range(10):

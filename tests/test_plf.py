@@ -48,6 +48,46 @@ def test_rejects_nonincreasing_breaks():
         PLF(np.array([0.0, 0.0, 1.0]), np.array([0.0, 0.5]), np.array([0.5, 1.0]))
 
 
+def _gate_fault(breaks, yl, yr):
+    """The construction gates written out one by one, finiteness first."""
+    for a in (breaks, yl, yr):
+        if not np.isfinite(a).all():
+            return ValueError, "non-finite entry in a PLF array"
+    if not (breaks[1:] > breaks[:-1]).all():
+        return NotMonotone, "breakpoints must be strictly increasing"
+    if (yr < yl).any() or (yl[1:] < yr[:-1]).any():
+        return NotMonotone, "segment values must be nondecreasing"
+    return None
+
+
+@st.composite
+def gate_inputs(draw):
+    # mostly finite entries; sorting puts an infinity at an end, where
+    # the monotone checks pass it, and NaN anywhere
+    entry = st.sampled_from([-1.0, 0.0, 0.5, 1.0, 2.0] * 6 + [-math.inf, math.inf, math.nan])
+    n = draw(st.integers(1, 4))
+    breaks = draw(st.lists(entry, min_size=n + 1, max_size=n + 1, unique=True))
+    nodes = draw(st.lists(entry, min_size=2 * n, max_size=2 * n))
+    if draw(st.booleans()):
+        breaks = sorted(breaks)
+    if draw(st.booleans()):
+        nodes = sorted(nodes)
+    return np.array(breaks), np.array(nodes[0::2]), np.array(nodes[1::2])
+
+
+@settings(max_examples=300, deadline=None)
+@given(gate_inputs())
+def test_construction_names_the_first_fault_of_the_gates(arrays):
+    breaks, yl, yr = arrays
+    want = _gate_fault(breaks, yl, yr)
+    if want is None:
+        PLF(breaks, yl, yr)
+    else:
+        with pytest.raises(want[0]) as err:
+            PLF(breaks, yl, yr)
+        assert type(err.value) is want[0] and str(err.value) == want[1]
+
+
 def test_upward_jumps_are_allowed():
     f = rising_then_flat()
     assert f.num_segments == 2
