@@ -8,7 +8,7 @@ with density 1/slope.
 
 The representation is canonicalized on construction (adjacent collinear
 pieces merged), so two Measure objects are equal exactly when their
-arrays are equal bit for bit and their domains agree.
+arrays are equal value for value (0.0 == -0.0) and their domains agree.
 
 Input is validated once, at the public constructors: ``Measure(...)``
 checks and canonicalizes its quantile, and ``DiscreteMeasure(...)`` checks,
@@ -17,7 +17,8 @@ inside their domain by construction take ``Measure._trusted`` instead:
 ``from_atoms`` and ``DiscreteMeasure.to_measure`` (sorted distinct atoms
 after ``DiscreteMeasure``'s checks give flat cells with jumps between
 them, on cumulative weights clamped at one, with the unit-interval check
-made first) and the M_n elements of ``interval``.
+made first) and the M_n elements of ``interval``; their quantiles are
+step functions, with one array for ``yl`` and ``yr`` (see ``plf``).
 Maps whose rounding can make two segments collinear (value maps,
 blends, reflections) keep ``Measure(...)``'s ``canonical``, on a
 ``PLF`` that is not validated again; ``flip`` builds ``Measure(...)``
@@ -108,7 +109,8 @@ class Measure:
 
     @property
     def is_discrete(self) -> bool:
-        return bool((self.quantile.yl == self.quantile.yr).all())
+        q = self.quantile
+        return q.yl is q.yr or bool((q.yl == q.yr).all())
 
     def atoms(self) -> list[tuple[float, float]]:
         if not self.is_discrete:
@@ -334,7 +336,9 @@ def pushforward_affine(mu: Measure, orientation: int, offset: float) -> Measure:
     nb = 1.0 - q.breaks[::-1]
     nb[0] = 0.0
     nb[-1] = 1.0
-    return Measure(mu.domain, _without_empty_cells(nb, offset - q.yr[::-1], offset - q.yl[::-1]))
+    yl = offset - q.yr[::-1]
+    yr = yl if q.yl is q.yr else offset - q.yl[::-1]
+    return Measure(mu.domain, _without_empty_cells(nb, yl, yr))
 
 
 def flip(mu: Measure) -> Measure:

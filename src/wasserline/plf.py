@@ -47,6 +47,25 @@ behind ``plf_combine``, ``Translation``, ``convex_hull_combination`` and
 blend (geodesic extrapolation) may decrease: ``_repair_monotone``
 flattens rounding noise and ``PLF(...)`` validates the result.
 
+A step function (every cell flat, as the quantile of a discrete measure)
+is a PLF whose ``yl`` and ``yr`` are one array object.
+``measures.from_atoms``, ``DiscreteMeasure.to_measure`` and the M_n
+elements of ``interval`` build one, ``PLF._trusted`` keeps the sharing,
+and so do ``on_grid`` (one gather serves both sides), ``map_values``,
+``_blend`` of step functions with nonnegative coefficients,
+``_without_empty_cells`` and the reflection in
+``measures.pushforward_affine``.  The validating ``PLF(...)`` (it copies
+each array), ``concat_plfs``, ``restrict``, ``canonical`` when it merges,
+a signed blend and ``Measure``'s clip into [0, 1] drop it; that only
+loses the cheap path, as equal arrays still hold equal values.  On two
+step functions ``abs_pow_gap`` takes one difference for both ends of
+its cells, and ``abs_pow_cells``/``_power_cells`` given ``b is a``
+compute the flat formula alone.  No bit moves: the general ``on_grid``
+computes a ``yl`` equal to ``yr`` bit for bit on a step function, the
+differences at both ends are then equal, and d = 0 sends every cell to
+that formula.  ``equals`` skips ``yr`` on two step functions, and
+``Measure.is_discrete`` holds at once.
+
 Each numeric idea has one private home: ``_nodes`` (the values in level
 order), ``_envelope`` (min or max of a pair from ``_with_crossings``),
 ``_without_empty_cells`` (the zero-width cell drop) and ``_power_cells``
@@ -125,9 +144,11 @@ class PLF:
 
     @classmethod
     def _trusted(cls, breaks: np.ndarray, yl: np.ndarray, yr: np.ndarray) -> "PLF":
-        """Read-only views of float arrays valid by construction; no checks, no copies."""
+        """Read-only views of float arrays valid by construction; no checks,
+        no copies.  One array passed as both ``yl`` and ``yr`` stays one."""
         self = object.__new__(cls)
-        self.__dict__.update(breaks=breaks.view(), yl=yl.view(), yr=yr.view())
+        v = yl.view()
+        self.__dict__.update(breaks=breaks.view(), yl=v, yr=v if yr is yl else yr.view())
         for a in self.__dict__.values():
             a.setflags(write=False)
         return self
@@ -148,12 +169,18 @@ class PLF:
         return float(self.yl[0]), float(self.yr[-1])
 
     def equals(self, other: "PLF") -> bool:
-        """Bitwise equality of the three arrays."""
+        """Equality of the three arrays, value by value (0.0 == -0.0).
+
+        The lengths and the end values reject before any array pass, and
+        ``yl`` before ``breaks``, which equal-weight measures share; two
+        step functions have equal ``yr`` once their ``yl`` are equal."""
+        a, b = self, other
+        if len(a.yl) != len(b.yl) or a.yl[0] != b.yl[0] or a.yr[-1] != b.yr[-1]:
+            return False
         return bool(
-            len(self.breaks) == len(other.breaks)
-            and (self.breaks == other.breaks).all()
-            and (self.yl == other.yl).all()
-            and (self.yr == other.yr).all()
+            (a.yl == b.yl).all()
+            and (a.breaks == b.breaks).all()
+            and ((a.yr is a.yl and b.yr is b.yl) or (a.yr == b.yr).all())
         )
 
     # ------------------------------------------------------------------
@@ -234,6 +261,8 @@ class PLF:
         if k is None or len(grid) == len(self.breaks):
             return self
         nyr = self.yr[k]
+        if self.yl is self.yr:  # a step function: every cell is flat
+            return PLF._trusted(grid, nyr, nyr)
         nyl = nyr.copy()
         step = np.empty(len(k), dtype=bool)
         step[0] = True
@@ -279,7 +308,8 @@ class PLF:
         result invalid, and ``_finite_ends`` sees either."""
         if scale < 0:
             raise ValueError("negative scale would reverse monotonicity")
-        return _finite_ends(self.breaks, shift + scale * self.yl, shift + scale * self.yr)
+        yl = shift + scale * self.yl
+        return _finite_ends(self.breaks, yl, yl if self.yr is self.yl else shift + scale * self.yr)
 
     # ------------------------------------------------------------------
     # min / max / clip
@@ -437,7 +467,9 @@ def _without_empty_cells(breaks: np.ndarray, yl: np.ndarray, yr: np.ndarray) -> 
     keep = np.diff(breaks) > 0.0
     if not keep.all():
         breaks = np.append(breaks[:-1][keep], breaks[-1])
-        yl, yr = yl[keep], yr[keep]
+        step = yr is yl
+        yl = yl[keep]
+        yr = yl if step else yr[keep]
     return _finite_ends(breaks, yl, yr)
 
 
@@ -549,11 +581,11 @@ def _blend(grid: np.ndarray, fns, coeffs) -> PLF:
     nondecreasing under rounding, so ``_finite_ends`` is the only check
     left.  A signed blend may decrease: it is repaired and validated."""
     coeffs = np.asarray(coeffs, dtype=np.float64)
-    yl = np.zeros(len(grid) - 1)
-    yr = np.zeros(len(grid) - 1)
+    yl = yr = np.zeros(len(grid) - 1)
     for c, h in zip(coeffs, fns):
+        step = yr is yl and h.yr is h.yl  # step functions so far: yr would repeat yl
         yl = yl + c * h.yl
-        yr = yr + c * h.yr
+        yr = yl if step else yr + c * h.yr
     if np.any(coeffs < 0.0):
         return PLF(grid, *_repair_monotone(yl, yr))
     return _finite_ends(grid, yl, yr)
@@ -625,13 +657,18 @@ def _power_cells(w: np.ndarray, a: np.ndarray, b: np.ndarray, r: float, signed: 
     midpoint value of the integrand (exact in the limit) takes over.  r
     may be negative (r > -1, integrable), as in the curvature
     (p-1)|l|^(p-2) of the M_n projection at p < 2; a flat cell at zero
-    then gives inf."""
-    d = b - a
+    then gives inf.
+
+    ``b is a`` (both ends one array, as on two step functions) makes
+    d = 0, so every cell is flat: only the flat formula is computed."""
     if r == 2.0 and not signed:
         # in place on the two fresh temporaries
         m = a + b
         m *= 0.5
         m *= m
+        if b is a:
+            return w * m
+        d = b - a
         d *= d
         d /= 12.0
         m += d
@@ -648,6 +685,9 @@ def _power_cells(w: np.ndarray, a: np.ndarray, b: np.ndarray, r: float, signed: 
     def midpoint(a: np.ndarray, b: np.ndarray) -> np.ndarray:  # flat cells
         return power((a + b) * 0.5, r, signed)
 
+    if b is a and a.ndim == 1:  # all flat; 1-d for the array power, as below
+        return w * midpoint(a, b)
+    d = b - a
     steep = np.abs(d) > 1e-9 * np.maximum(np.abs(a), np.abs(b))
     # cells all of one kind take whole arrays, for equal 1-d operands only:
     # a 0-d operand would reach NumPy's scalar power, which can differ from
@@ -674,12 +714,16 @@ def abs_pow_cells(w, a, b, p: float) -> np.ndarray:
     share a sign and w*(a^2+b^2)/(2(|a|+|b|)) when l crosses zero; both
     are free of cancellation, and when no cell crosses the trapezoids are
     returned without the crossing formula.  Other orders are
-    ``_power_cells``, which takes p = 2 as a polynomial.
+    ``_power_cells``, which takes p = 2 as a polynomial.  ``b is a`` (flat
+    cells) takes the trapezoid, or ``_power_cells``' flat formula, alone.
     """
     w = np.asarray(w, dtype=np.float64)
     a = np.asarray(a, dtype=np.float64)
     b = np.asarray(b, dtype=np.float64)
     if p == 1.0:
+        if b is a:
+            s = np.abs(a)
+            return 0.5 * w * (s + s)
         s = np.abs(a) + np.abs(b)
         cross = (a * b) < 0.0
         straight = 0.5 * w * s
@@ -701,14 +745,26 @@ def abs_pow_gap(f: PLF, g: PLF, p: float) -> float:
     the value the one-pass computation gives, and the one sum over the
     whole array keeps NumPy's pairwise-summation tree, so the result has
     the same bits.
+
+    On two step functions one difference serves both ends of every cell.
+    A gap that overflows at both ends of a cell makes the p = 2
+    polynomial's rise inf - inf; such a cell's integral is inf, as the
+    flat formula gives, so a NaN total at p = 2 reads inf.
     """
     F, G = on_common_grid(f, g)
     x, fl, fr, gl, gr = F.breaks, F.yl, F.yr, G.yl, G.yr
+    step = fl is fr and gl is gr
+
+    def block(s: int, e: int) -> np.ndarray:
+        a = fl[s:e] - gl[s:e]
+        return abs_pow_cells(x[s + 1 : e + 1] - x[s:e], a, a if step else fr[s:e] - gr[s:e], p)
+
     n = len(fl)
     if n <= _GAP_BLOCK:
-        return float(abs_pow_cells(x[1:] - x[:-1], fl - gl, fr - gr, p).sum())
-    cells = np.empty(n)
-    for s in range(0, n, _GAP_BLOCK):
-        e = min(s + _GAP_BLOCK, n)
-        cells[s:e] = abs_pow_cells(x[s + 1 : e + 1] - x[s:e], fl[s:e] - gl[s:e], fr[s:e] - gr[s:e], p)
-    return float(cells.sum())
+        cells = block(0, n)
+    else:
+        cells = np.empty(n)
+        for s in range(0, n, _GAP_BLOCK):
+            cells[s : s + _GAP_BLOCK] = block(s, min(s + _GAP_BLOCK, n))
+    total = float(cells.sum())
+    return math.inf if p == 2.0 and math.isnan(total) else total

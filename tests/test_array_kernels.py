@@ -35,11 +35,14 @@ from wasserline import (
     Measure,
     NotMonotone,
     SplitEmbedding,
+    Translation,
     WasserlineError,
     abs_pow_cells,
+    apply,
     abs_pow_gap,
     cdf_eval,
     const_plf,
+    convex_hull_combination,
     dirac_certificate,
     flip,
     from_atoms,
@@ -48,6 +51,7 @@ from wasserline import (
     monotone_range,
     nearest_in_mn,
     plf_combine,
+    pushforward_affine,
     qn_elements,
     sampling,
     wasserstein_distance,
@@ -64,6 +68,7 @@ from wasserline.midpoints import (
 from wasserline.plf import (
     _GAP_BLOCK,
     _SORTED_SEARCH_MIN,
+    _nodes,
     _power_cells,
     _with_crossings,
     common_grid,
@@ -375,6 +380,184 @@ def test_blocked_gap_matches_the_one_pass_sum(p):
     assert any(n > 4 * _GAP_BLOCK and n % _GAP_BLOCK for n in cells)
     for f, g in pairs:
         assert same_bits(abs_pow_gap(f, g, p), _gap_in_one_pass(f, g, p))
+
+
+# ----------------------------------------------------------------------
+# step functions: one value array for yl and yr
+
+
+def _separate(mu: Measure) -> Measure:
+    """``mu`` with ``yl`` and ``yr`` as two arrays (the validating ``PLF``
+    copies each), which takes the general path of the grid and the kernel."""
+    q = mu.quantile
+    nu = Measure(mu.domain, PLF(q.breaks, q.yl, q.yr))
+    assert nu.quantile.yl is not nu.quantile.yr
+    return nu
+
+
+def _gaps_and_kernel_ends(mu: Measure, nu: Measure) -> tuple[list[float], list[bool]]:
+    """Distances at p in {1, 1.5, 2, 3}, and for each kernel call whether
+    it took one array for both ends of its cells."""
+    shared = []
+
+    def spy(w, a, b, p):
+        shared.append(b is a)
+        return abs_pow_cells(w, a, b, p)
+
+    with mock.patch("wasserline.plf.abs_pow_cells", spy):
+        dists = [wasserstein_distance(mu, nu, p) for p in (1.0, 1.5, 2.0, 3.0)]
+    return dists, shared
+
+
+def _equal_weights(pos: np.ndarray) -> Measure:
+    return DiscreteMeasure(pos, np.full(len(pos), 1.0 / len(pos))).to_measure()
+
+
+@st.composite
+def step_pairs(draw) -> tuple[Measure, Measure, bool]:
+    """Pairs of measures on the line and whether both are discrete:
+    atoms at +-0.0, pairs on one grid, grids longer than ``_GAP_BLOCK``,
+    and a discrete measure against a continuous one."""
+    kind = draw(st.sampled_from(["atoms", "shared_grid", "large", "mixed"]))
+    if kind == "atoms":
+        (p, w), (q, v) = draw(atom_arrays()), draw(atom_arrays())
+        return DiscreteMeasure(p, w).to_measure(), DiscreteMeasure(q, v).to_measure(), True
+    if kind == "shared_grid":
+        n = draw(st.integers(1, 12))
+        x, y = (np.array(draw(st.lists(_POSITIONS, min_size=n, max_size=n, unique=True))) for _ in range(2))
+        return _equal_weights(x), _equal_weights(y), True
+    if kind == "large":
+        rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+        n = draw(st.integers(_GAP_BLOCK // 2 + 1, 2 * _GAP_BLOCK))
+        a = rng.normal(size=n)
+        a[: n // 4] = np.where(rng.random(n // 4) < 0.5, -0.0, 0.0)  # one atom at a zero
+        mu = _equal_weights(a)
+        if draw(st.booleans()):
+            return mu, _equal_weights(rng.normal(0.5, 2.0, size=n)), True
+        return mu, DiscreteMeasure(rng.normal(size=n), rng.dirichlet(np.ones(n))).to_measure(), True
+    p, w = draw(atom_arrays())
+    mixed = [DiscreteMeasure(p, w).to_measure(), Measure(Domain.REAL_LINE, draw(plfs()))]
+    if draw(st.booleans()):
+        mixed.reverse()
+    return *mixed, False
+
+
+@settings(max_examples=200, deadline=None)
+@given(step_pairs())
+def test_step_pairs_match_the_general_path(pair):
+    """Two step functions regrid to one shared value array each and take
+    the kernel's flat formula alone; the same measures with separate
+    ``yl`` and ``yr`` take the general path, with the same bits."""
+    mu, nu, steps = pair
+    F, G = on_common_grid(mu.quantile, nu.quantile)
+    sF, sG = on_common_grid(_separate(mu).quantile, _separate(nu).quantile)
+    assert same_plf(F, sF) and same_plf(G, sG)
+    assert (F.yl is F.yr and G.yl is G.yr) == steps
+    got, shared = _gaps_and_kernel_ends(mu, nu)
+    want, separate = _gaps_and_kernel_ends(_separate(mu), _separate(nu))
+    assert all(same_bits(x, y) for x, y in zip(got, want))
+    assert shared == [steps] * len(shared) and not any(separate)
+    if F.num_segments > _GAP_BLOCK:
+        assert len(shared) > 4
+
+
+def test_discrete_measures_keep_one_value_array_on_the_common_grid():
+    mu = from_atoms([(-0.0, 0.25), (1.0, 0.5), (3.0, 0.25)])
+    nu = DiscreteMeasure(np.array([2.0, 0.5]), np.array([0.3, 0.7])).to_measure()
+    F, G = on_common_grid(mu.quantile, nu.quantile)
+    assert F.num_segments == 4
+    assert F.yl is F.yr and G.yl is G.yr
+
+
+def _step_maps(mu: Measure, nu: Measure) -> dict:
+    """The value maps and nonnegative blends of two measures on the line."""
+    return {
+        "map_values": lambda: Measure(mu.domain, mu.quantile.map_values(2.5, -1.0)),
+        "translation": lambda: apply(Translation(nu), mu),
+        "hull": lambda: convex_hull_combination([(mu, 0.25), (nu, 0.75)]),
+        "geodesic": lambda: geodesic_point(mu, nu, 0.3),
+        "reflection": lambda: pushforward_affine(mu, -1, 2.0),
+    }
+
+
+@pytest.mark.parametrize("name", sorted(_step_maps(None, None)))
+def test_value_maps_and_blends_keep_a_step_function(name):
+    mu = from_atoms([(-0.0, 0.25), (1.0, 0.5), (3.0, 0.25)])
+    nu = from_atoms([(-2.0, 0.3), (0.5, 0.7)])
+    got = _step_maps(mu, nu)[name]()
+    want = _step_maps(_separate(mu), _separate(nu))[name]()
+    assert got.quantile.yl is got.quantile.yr
+    assert want.quantile.yl is not want.quantile.yr
+    assert same_measure(got, want)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(0, 2**32 - 1))
+def test_value_maps_and_blends_of_step_functions_keep_their_bits(seed):
+    rng = np.random.default_rng(seed)
+    mu, nu = sampling.random_discrete_measure(rng), sampling.random_discrete_measure(rng)
+    shared, separate = _step_maps(mu, nu), _step_maps(_separate(mu), _separate(nu))
+    for name in shared:
+        assert same_measure(shared[name](), separate[name]())
+
+
+def _three_array_equality(f: PLF, g: PLF) -> bool:
+    """``PLF.equals`` as three full-array compares."""
+    return bool(
+        len(f.breaks) == len(g.breaks)
+        and (f.breaks == g.breaks).all()
+        and (f.yl == g.yl).all()
+        and (f.yr == g.yr).all()
+    )
+
+
+def _middle_flattened(f: PLF) -> PLF:
+    """``f`` with its middle value node set to the one before: the same
+    length and, unless it has one segment, the same end values."""
+    nodes = _nodes(f.yl, f.yr)
+    nodes[len(nodes) // 2] = nodes[len(nodes) // 2 - 1]
+    return PLF(f.breaks, nodes[0::2], nodes[1::2])
+
+
+_EQUALS_VARIANTS = {
+    "itself": lambda f: f,
+    "separate": lambda f: PLF(f.breaks, f.yl, f.yr),
+    "positive_zeros": lambda f: f.map_values(1.0, 0.0),  # -0.0 + 0.0 is 0.0
+    "shifted": lambda f: f.map_values(1.0, 0.5),
+    "refined": lambda f: f.refine([0.3]),
+    "middle_flattened": _middle_flattened,
+}
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    atom_arrays(),
+    st.lists(st.floats(1e-3, 1.0), min_size=40, max_size=40),
+    plfs(),
+    st.sampled_from(sorted(_EQUALS_VARIANTS)),
+    st.booleans(),
+)
+def test_equals_keeps_the_three_array_truth_table(atoms, weights, cont, variant, discrete):
+    """Values compare as numbers (0.0 == -0.0); a pair on the same
+    positions with other weights has equal ``yl`` and other breaks."""
+    pos, w = atoms
+    f = DiscreteMeasure(pos, w).to_measure().quantile if discrete else cont
+    v = np.array(weights[: len(pos)])
+    reweighted = DiscreteMeasure(pos, v / v.sum()).to_measure().quantile
+    for g in (_EQUALS_VARIANTS[variant](f), reweighted):
+        assert f.equals(g) == g.equals(f) == _three_array_equality(f, g)
+    for h in (f, cont):
+        mu = Measure(Domain.REAL_LINE, h)
+        assert mu.is_discrete == bool((mu.quantile.yl == mu.quantile.yr).all())
+
+
+@pytest.mark.parametrize("p", [1.0, 1.5, 2.0, 3.0])
+def test_an_overflowing_gap_reads_inf_on_both_paths(p):
+    # at p = 2 the general path's polynomial forms inf - inf for the rise
+    mu, nu = from_atoms([(1e308, 1.0)]), from_atoms([(-1e308, 1.0)])
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert wasserstein_distance(mu, nu, p) == np.inf
+        assert wasserstein_distance(_separate(mu), _separate(nu), p) == np.inf
 
 
 def _many_segments(rng: np.random.Generator) -> PLF:
