@@ -17,15 +17,14 @@ import argparse
 import json
 import sys
 
+import numpy as np
+
 from .errors import DomainMismatch, ScopeMismatch, WasserlineError
-from .interval import mn_element, qn_elements, slice_extremal_pair
-from .isometries import apply as apply_isometry
-from .isometries import isometry_from_json
 from .measures import TwoPointParam, measure_from_json, measure_to_json, two_point_from_param
 from .metric import wasserstein_distance
-from .reports import rows_to_csv
-from .sampling import rng_for
-from .suites import SUITES, run_suite
+
+# ``dist`` needs only the modules above; each other command imports the
+# rest of what it runs, so a cold ``dist`` loads about half the package.
 
 _PARSE_ERRORS = (
     json.JSONDecodeError,
@@ -81,6 +80,8 @@ def _cmd_dist(args) -> int:
 
 
 def _cmd_apply(args) -> int:
+    from .isometries import apply as apply_isometry, isometry_from_json
+
     iso = isometry_from_json(_load_json(args.iso_file))
     mu = measure_from_json(_load_json(args.measure_file))
     out = apply_isometry(iso, mu)
@@ -89,6 +90,9 @@ def _cmd_apply(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    from .reports import rows_to_csv
+    from .suites import SUITES, run_suite
+
     if args.suite_id not in SUITES:
         print(f"unknown suite: {args.suite_id!r}; known: {', '.join(SUITES)}", file=sys.stderr)
         return 4
@@ -104,6 +108,9 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_generate(args) -> int:
+    from .interval import _check_level_index, mn_element, qn_elements, slice_extremal_pair
+    from .sampling import rng_for
+
     def need(name):
         value = getattr(args, name)
         if value is None:
@@ -113,11 +120,11 @@ def _cmd_generate(args) -> int:
     if args.kind == "qn":
         measures = qn_elements(int(need("n")))
     elif args.kind == "mn-random":
-        n = int(need("n"))
-        measures = []
-        for i in range(max(1, int(args.count))):
-            rng = rng_for(int(args.seed), i)
-            measures.append(mn_element(sorted(rng.uniform(0.0, 1.0, 2**n))))
+        n = _check_level_index(need("n"))  # before 2**n positions are drawn
+        measures = [
+            mn_element(np.sort(rng_for(int(args.seed), i).uniform(0.0, 1.0, 2**n)))
+            for i in range(max(1, int(args.count)))
+        ]
     elif args.kind == "slice-extremal":
         measures = list(slice_extremal_pair(float(need("t"))))
     else:  # two-point

@@ -430,7 +430,12 @@ class PLF:
         starts = np.flatnonzero(keep)
         ends = np.concatenate([starts[1:] - 1, [self.num_segments - 1]])
         nb = np.concatenate([self.breaks[starts], self.breaks[-1:]])
-        return PLF._trusted(nb, self.yl[starts], self.yr[ends])
+        yl, yr = self.yl[starts], self.yr[ends]
+        # a step function's merged flats hold equal values, so one array
+        # serves both sides unless a run joins 0.0 and -0.0
+        if self.yl is self.yr and np.array_equal(yl.view(np.uint64), yr.view(np.uint64)):
+            yr = yl
+        return PLF._trusted(nb, yl, yr)
 
 
 # ----------------------------------------------------------------------

@@ -501,6 +501,28 @@ def test_value_maps_and_blends_of_step_functions_keep_their_bits(seed):
         assert same_measure(shared[name](), separate[name]())
 
 
+def test_a_merging_canonical_form_keeps_a_step_function():
+    # at s = 0 the blend is mu's atoms on the merged grid, whose canonical
+    # form merges the flats that nu's breaks split
+    mu = from_atoms([(-0.0, 0.25), (1.0, 0.5), (3.0, 0.25)])
+    nu = from_atoms([(-2.0, 0.3), (0.5, 0.7)])
+    got = geodesic_point(mu, nu, 0.0)
+    assert got.quantile.num_segments == 3
+    assert got.quantile.yl is got.quantile.yr
+    assert same_measure(got, geodesic_point(_separate(mu), _separate(nu), 0.0))
+
+
+@pytest.mark.parametrize("shared", [False, True])
+def test_a_merged_run_of_signed_zeros_keeps_both_ends(shared):
+    # the flats at -0.0 and 0.0 merge (they compare equal), and the merged
+    # cell keeps -0.0 on the left and 0.0 on the right, as two arrays
+    v = np.array([-0.0, 0.0])
+    q = PLF._trusted(np.array([0.0, 0.5, 1.0]), v, v) if shared else PLF([0, 0.5, 1], [-0.0, 0.0], [-0.0, 0.0])
+    got = Measure(Domain.REAL_LINE, q).quantile
+    assert got.yl is not got.yr
+    assert same_bits(got.yl, np.array([-0.0])) and same_bits(got.yr, np.array([0.0]))
+
+
 def _three_array_equality(f: PLF, g: PLF) -> bool:
     """``PLF.equals`` as three full-array compares."""
     return bool(

@@ -220,13 +220,13 @@ def test_verify_unknown_suite_is_exit_four(capsys):
 
 
 def test_verify_failed_suite_is_exit_one(monkeypatch, capsys):
-    import wasserline.cli as cli
+    import wasserline.suites
 
     failing = VerificationReport(
         claim_id="distance-oracle", trials=1, max_violation=1.0, tolerance=1.0,
         passed=False, details=(),
     )
-    monkeypatch.setattr(cli, "run_suite", lambda *a, **k: (failing, []))
+    monkeypatch.setattr(wasserline.suites, "run_suite", lambda *a, **k: (failing, []))
     assert main(["verify", "distance-oracle"]) == 1
     assert "FAIL distance-oracle:" in capsys.readouterr().out
 
@@ -280,6 +280,29 @@ def test_generate_mn_random_is_seeded(capsys):
     for item in payload:
         atoms = measure_from_json(item).atoms()
         assert sum(w for _, w in atoms) == pytest.approx(1.0, abs=1e-12)
+
+
+def test_generate_mn_random_output_is_pinned(capsys):
+    assert main(["generate", "mn-random", "--n", "2", "--seed", "3"]) == 0
+    assert capsys.readouterr().out == (
+        '[{"atoms": [[0.08564916714362436, 0.25], [0.2368105065960997, 0.25], '
+        '[0.5821620360643678, 0.25], [0.8012744652063969, 0.25]], "domain": "unit", "type": "discrete"}]\n'
+    )
+
+
+@pytest.mark.parametrize(
+    "n, message",
+    [("21", "ladder index 21 is too large"), ("-1", "the ladder index n must be a nonnegative integer")],
+)
+def test_generate_mn_random_checks_n_before_drawing(monkeypatch, capsys, n, message):
+    import wasserline.sampling
+
+    def no_draw(*args):
+        raise AssertionError("drew positions for a rejected n")
+
+    monkeypatch.setattr(wasserline.sampling, "rng_for", no_draw)
+    assert main(["generate", "mn-random", "--n", n]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
 
 
 def test_generate_missing_parameter_is_exit_two(capsys):

@@ -8,7 +8,11 @@ from __future__ import annotations
 
 import hashlib
 import importlib.util
+import json
+import os
 import re
+import subprocess
+import sys
 import tomllib
 from pathlib import Path
 from unittest import mock
@@ -22,6 +26,7 @@ from wasserline.reports import rows_to_csv
 from wasserline.suites import SUITES, run_suite
 
 ROOT = Path(__file__).resolve().parents[1]
+PACKAGE = Path(wasserline.__file__).resolve().parent
 
 # Every name ``from wasserline import *`` gives; submodules are not among them.
 # A change that adds or removes a public name edits this list on purpose.
@@ -68,6 +73,75 @@ def test_version_matches_pyproject():
 
 def test_public_names_are_pinned():
     assert sorted(wasserline.__all__) == PUBLIC_NAMES
+
+
+def test_each_public_name_is_its_defining_modules_object():
+    for name in PUBLIC_NAMES:
+        obj = getattr(wasserline, name)
+        module = sys.modules[f"wasserline.{wasserline._MODULE_OF[name]}"]
+        assert obj is vars(module)[name], name
+        assert getattr(obj, "__module__", module.__name__) == module.__name__, name
+    assert wasserline.run_suite is wasserline.suites.run_suite
+
+
+def test_dir_lists_the_public_names():
+    listed = dir(wasserline)
+    assert "__all__" in listed and "__version__" in listed
+    assert set(PUBLIC_NAMES) <= set(listed)
+
+
+def test_star_import_gives_the_public_names():
+    namespace: dict = {}
+    exec("from wasserline import *", namespace)
+    assert sorted(k for k in namespace if k != "__builtins__") == PUBLIC_NAMES
+
+
+def test_submodules_resolve_and_unknown_names_raise():
+    from wasserline import suites as by_from
+
+    assert by_from is wasserline.suites is sys.modules["wasserline.suites"]
+    assert wasserline.sampling is sys.modules["wasserline.sampling"]
+    with pytest.raises(AttributeError, match="no attribute 'no_such_name'"):
+        wasserline.no_such_name
+    assert not hasattr(wasserline, "cdf")
+
+
+def _fresh(code: str) -> str:
+    """Run ``code`` in a new interpreter that imports this package; its stdout."""
+    path = os.pathsep.join(filter(None, [str(PACKAGE.parent), os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": path},
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout
+
+
+_LOADED = "import json, sys; print(json.dumps(sorted(m for m in sys.modules if m.startswith('wasserline'))))"
+
+
+def test_importing_the_package_loads_only_the_errors():
+    assert json.loads(_fresh(f"import wasserline; {_LOADED}")) == ["wasserline", "wasserline.errors"]
+
+
+def test_a_cold_dist_loads_only_the_modules_it_runs(tmp_path):
+    files = []
+    for name, x in (("a.json", 0.0), ("b.json", 1.0)):
+        files.append(tmp_path / name)
+        files[-1].write_text(json.dumps(wasserline.measure_to_json(wasserline.from_atoms([(x, 1.0)]))))
+    out = _fresh(f"from wasserline.cli import main; main(['dist', {str(files[0])!r}, {str(files[1])!r}]); {_LOADED}")
+    distance, loaded = out.splitlines()
+    assert distance == "1.00000000000000"
+    assert json.loads(loaded) == [
+        "wasserline", "wasserline.cli", "wasserline.errors", "wasserline.measures", "wasserline.metric",
+        "wasserline.plf",
+    ]
+
+
+@pytest.mark.parametrize("module", sorted(p.stem for p in PACKAGE.glob("*.py")))
+def test_each_module_imports_first_in_a_fresh_interpreter(module):
+    # no import cycle hides behind the lazy exports: any module can come
+    # first, and every public name resolves after it
+    name = "wasserline" if module == "__init__" else f"wasserline.{module}"
+    _fresh(f"import {name}, wasserline; [getattr(wasserline, n) for n in wasserline.__all__]")
 
 
 def test_every_suite_has_a_digest():
