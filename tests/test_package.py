@@ -123,11 +123,10 @@ def test_importing_the_package_loads_only_the_errors():
 
 
 def test_a_cold_dist_loads_only_the_modules_it_runs(tmp_path):
-    files = []
-    for name, x in (("a.json", 0.0), ("b.json", 1.0)):
-        files.append(tmp_path / name)
-        files[-1].write_text(json.dumps(wasserline.measure_to_json(wasserline.from_atoms([(x, 1.0)]))))
-    out = _fresh(f"from wasserline.cli import main; main(['dist', {str(files[0])!r}, {str(files[1])!r}]); {_LOADED}")
+    a, b = tmp_path / "a.json", tmp_path / "b.json"
+    for path, x in ((a, 0.0), (b, 1.0)):
+        path.write_text(json.dumps(wasserline.measure_to_json(wasserline.from_atoms([(x, 1.0)]))))
+    out = _fresh(f"from wasserline.cli import main; main(['dist', {str(a)!r}, {str(b)!r}]); {_LOADED}")
     distance, loaded = out.splitlines()
     assert distance == "1.00000000000000"
     assert json.loads(loaded) == [
