@@ -230,9 +230,7 @@ def convex_hull_combination(items) -> Measure:
     total = sum(w for _, w in pairs)
     if abs(total - 1.0) > 1e-9:
         raise WeightError(f"combination weights sum to {total!r}")
-    pairs = [(mu, w) for mu, w in pairs if w > 0.0]
-    if not pairs:
-        raise WeightError("all weights vanish")
+    pairs = [(mu, w) for mu, w in pairs if w > 0.0]  # not empty: the total is near 1
     domain = pairs[0][0].domain
     if any(mu.domain is not domain for mu, _ in pairs):
         raise DomainMismatch("combination mixes domains")

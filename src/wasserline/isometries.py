@@ -23,8 +23,9 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .errors import LevelOutOfRange, QOutOfRange, ScopeMismatch
+from .errors import LevelOutOfRange, NonPositiveWeight, QOutOfRange, ScopeMismatch
 from .measures import (
+    _UNIT_AFFINE,
     DiscreteMeasure,
     Domain,
     Measure,
@@ -36,7 +37,7 @@ from .measures import (
 )
 from .metric import check_order, wasserstein_distance
 from .plf import PLF, _without_empty_cells, concat_plfs, plf_combine
-from .reports import VerificationReport, row, summarize
+from .reports import VerificationReport, _check_trials, row, summarize
 from .sampling import random_discrete_measure, rng_for
 
 Q_LIMIT = 30.0
@@ -104,10 +105,7 @@ class Trivial(_Descriptor):
 
     @property
     def domains(self) -> frozenset:
-        # the identity and x -> 1 - x also map [0, 1] onto itself
-        if (self.orientation, self.offset) in ((1, 0.0), (-1, 1.0)):
-            return _REAL | _UNIT
-        return _REAL
+        return _REAL | _UNIT if (self.orientation, self.offset) in _UNIT_AFFINE else _REAL
 
     def apply(self, mu: Measure) -> Measure:
         return pushforward_affine(mu, self.orientation, self.offset)
@@ -190,8 +188,7 @@ class Exotic(_Descriptor):
                 "the exotic flow is implemented on finite discrete measures; "
                 "use exotic_apply_grid for quantile profiles of general ones"
             )
-        out = exotic_apply_discrete(DiscreteMeasure.from_measure(mu), self.q)
-        return out.to_measure(Domain.REAL_LINE)
+        return exotic_apply_discrete(DiscreteMeasure.from_measure(mu), self.q).to_measure(Domain.REAL_LINE)
 
     def describe(self) -> str:
         return f"exotic({self.q:g})"
@@ -342,50 +339,54 @@ def h_q_inverse(y, q: float):
 
 
 def _h(x: np.ndarray, q: float) -> np.ndarray:
-    # expm1 keeps small q stable; endpoints are pinned exactly
-    out = x * np.exp(2.0 * q) / (1.0 + np.expm1(2.0 * q) * x)
-    out = np.where(x == 0.0, 0.0, out)
-    out = np.where(x == 1.0, 1.0, out)
-    return np.minimum(np.maximum(out, 0.0), 1.0)
+    # expm1 keeps small q stable; levels >= 1 are pinned to 1 and only the others
+    # divide, since at 1 the denominator 1 + expm1(-2q) rounds to 0 for q >= 19
+    out = np.where(x < 1.0, x, 1.0)
+    np.divide(x * np.exp(2.0 * q), 1.0 + np.expm1(2.0 * q) * x, out=out, where=out < 1.0)
+    return np.minimum(out, 1.0, out=out)
+
+
+def _exotic_value(v, level, pre, m: float, q: float):
+    # Phi^q's image of quantile value v at a level with prefix integral pre, mean m;
+    # for a Dirac v - m and pre - level * v are exactly 0, so the atom stays put
+    return v + np.expm1(q) * (v - m) + 2.0 * np.sinh(q) * (pre - level * v)
 
 
 def exotic_apply_discrete(mu: DiscreteMeasure, q: float) -> DiscreteMeasure:
     """Closed form of Phi^q on a finite discrete measure.
 
-    With atoms v_k, weights w_k, cumulative c_k and barycenter m:
+    With atoms v_k, weights w_k, cumulative c_k (c_0 = 0), running sums
+    S_k = sum_{j<=k} v_j w_j and barycenter m:
 
-        v'_k = (1 - e^q) m + e^q v_k + (e^q - e^{-q}) (S_{k-1} - v_k c_{k-1})
+        v'_k = v_k + (e^q - 1)(v_k - m) + (e^q - e^{-q}) (S_{k-1} - v_k c_{k-1})
         c'_k = h_{-q}(c_k)
 
-    where S_k = sum_{j<=k} v_j w_j.  The new positions are strictly
-    increasing (consecutive gaps scale by e^q (1 - c) + e^{-q} c > 0),
-    and on a two-atom measure this is exactly the chart shear
-    (x, sigma, p) -> (x, sigma, p + q).
+    so a Dirac stays where it is, bit for bit.  The new positions are strictly
+    increasing (consecutive gaps scale by e^q (1 - c) + e^{-q} c > 0), and on a
+    two-atom measure this is exactly the chart shear (x, sigma, p) -> (x, sigma,
+    p + q).  An image mass that rounds to 0 raises QOutOfRange.
     """
     q = _check_q(q)
     if q == 0.0:
         return mu
     v = mu.positions
     w = mu.weights
-    c = np.cumsum(w)
-    c[-1] = 1.0
-    c_prev = np.concatenate([[0.0], c[:-1]])
-    s_prev = np.concatenate([[0.0], np.cumsum(v * w)[:-1]])
-    m = float(np.sum(v * w))
-    eq = float(np.exp(q))
-    emq = float(np.exp(-q))
-    v2 = (1.0 - eq) * m + eq * v + (eq - emq) * (s_prev - v * c_prev)
-    c2 = _h(c, -q)
-    c2[-1] = 1.0
-    w2 = np.diff(np.concatenate([[0.0], c2]))
-    return DiscreteMeasure(v2, w2)
+    c = np.concatenate([[0.0], np.cumsum(w[:-1]), [1.0]])
+    s = np.concatenate([[0.0], np.cumsum(v * w)])
+    w2 = np.diff(_h(c, -q))
+    try:
+        return DiscreteMeasure(_exotic_value(v, c[:-1], s[:-1], float(np.sum(v * w)), q), w2)
+    except NonPositiveWeight:  # an image mass rounded to 0
+        k = int(np.argmin(w2 > 0.0))
+        raise QOutOfRange(f"at q = {q!r} the mass {float(w[k])!r} at {float(v[k])!r} underflows to 0") from None
 
 
 def exotic_apply_grid(mu: Measure, q: float, grid_size: int) -> list[tuple[float, float]]:
     """Quantile profile of Phi^q(mu) sampled at cell midpoints.
 
     Works for any measure, discrete or not: the image quantile at level
-    x is a closed form in Q_mu and its prefix integral at h_q(x).
+    x is a closed form in Q_mu and its prefix integral at h_q(x), the body
+    ``exotic_apply_discrete`` shares (on a cell, S_{k-1} - v_k c_{k-1}).
     """
     q = _check_q(q)
     if mu.domain is not Domain.REAL_LINE:
@@ -395,12 +396,8 @@ def exotic_apply_grid(mu: Measure, q: float, grid_size: int) -> list[tuple[float
     grid_size = int(grid_size)
     x = (np.arange(grid_size) + 0.5) / grid_size
     s = _h(x, q)
-    qv = mu.quantile.eval(s)
-    pre = mu.quantile.prefix_integrals(s)
-    m = mu.quantile.integral()
-    eq = float(np.exp(q))
-    emq = float(np.exp(-q))
-    vals = (1.0 - eq) * m + (eq + (emq - eq) * s) * qv + (eq - emq) * pre
+    f = mu.quantile
+    vals = _exotic_value(f.eval(s), s, f.prefix_integrals(s), f.integral(), q)
     return list(zip(x.tolist(), vals.tolist()))
 
 
@@ -415,20 +412,21 @@ def verify_isometry(iso, p: float, trials: int = 200, seed: int = 0) -> Verifica
     domain and compares d_p before and after, one row per trial with
     tolerance 1e-9.  The order is taken as given: running a p = 2
     isometry at p = 1 is allowed and will fail honestly.  Only an
-    unsatisfiable domain scope raises.
+    unsatisfiable domain scope or a trial count below 1 raises.
     """
     p = check_order(p)
+    trials = _check_trials(trials)
     doms = iso.domains
     if not doms:
         raise ScopeMismatch("no input domain can pass through this composition")
     dom = Domain.REAL_LINE if Domain.REAL_LINE in doms else Domain.UNIT_INTERVAL
     claim_id = f"isometry:{iso.describe()}@p={p:g}"
     rows = []
-    for trial in range(int(trials)):
+    for trial in range(trials):
         rng = rng_for(seed, trial)
         mu = random_discrete_measure(rng, dom)
         nu = random_discrete_measure(rng, dom)
         before = wasserstein_distance(mu, nu, p)
         after = wasserstein_distance(apply(iso, mu), apply(iso, nu), p)
         rows.append(row(claim_id, trial, f"d{p:g}", before, after, 1e-9))
-    return summarize(claim_id, rows, int(trials))
+    return summarize(claim_id, rows, trials)

@@ -57,6 +57,8 @@ from .plf import PLF, _without_empty_cells
 WEIGHT_TOL = 1e-9
 # slack for values that should sit in [0, 1] but picked up rounding noise
 _UNIT_SLACK = 1e-12
+# the (orientation, offset) of each x -> orientation * x + offset onto [0, 1]
+_UNIT_AFFINE = ((1, 0.0), (-1, 1.0))
 
 
 class Domain(enum.Enum):
@@ -319,13 +321,8 @@ def pushforward_affine(mu: Measure, orientation: int, offset: float) -> Measure:
     if orientation not in (1, -1):
         raise ValueError("orientation must be +1 or -1")
     offset = float(offset)
-    if mu.domain is Domain.UNIT_INTERVAL and (orientation, offset) not in (
-        (1, 0.0),
-        (-1, 1.0),
-    ):
-        raise InvalidIntervalIsometry(
-            "only the identity and x -> 1 - x map [0, 1] onto itself"
-        )
+    if mu.domain is Domain.UNIT_INTERVAL and (orientation, offset) not in _UNIT_AFFINE:
+        raise InvalidIntervalIsometry("only the identity and x -> 1 - x map [0, 1] onto itself")
     q = mu.quantile
     if orientation == 1:
         if offset == 0.0:

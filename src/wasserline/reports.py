@@ -81,6 +81,12 @@ def rows_to_csv(rows: list[ReportRow]) -> str:
     return buf.getvalue()
 
 
+def _check_trials(trials) -> int:
+    if not (trials >= 1 and trials % 1 == 0):  # NaN and inf fail; no trial would read PASS
+        raise ValueError(f"trials must be an integer >= 1, got {trials!r}")
+    return int(trials)
+
+
 def summarize(claim_id: str, rows: list[ReportRow], trials: int) -> VerificationReport:
     """Aggregate rows into one report with tolerance-normalized violation;
     ``details`` keeps up to 50 rows, failing ones first, each group by

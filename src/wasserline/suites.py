@@ -41,7 +41,7 @@ from .measures import (
 )
 from .metric import transport_lp_oracle, wasserstein_distance
 from .plf import PLF
-from .reports import ReportRow, VerificationReport, bound_row, exact_row, row, summarize
+from .reports import ReportRow, VerificationReport, _check_trials, bound_row, exact_row, row, summarize
 from .sampling import (
     dyadic_discrete_measure,
     random_adjacent_pair,
@@ -411,6 +411,6 @@ SUITES: dict[str, SuiteSpec] = {
 
 def run_suite(suite_id: str, trials: int | None = None, seed: int = 0) -> tuple[VerificationReport, list[ReportRow]]:
     suite = SUITES[suite_id]
-    n = suite.default_trials if trials is None else int(trials)
+    n = suite.default_trials if trials is None else _check_trials(trials)
     rows = list(suite.runner(suite_id, n, int(seed)))
     return summarize(suite_id, rows, trials=n), rows

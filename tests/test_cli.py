@@ -19,6 +19,7 @@ from wasserline import (
     isometry_from_json,
     measure_from_json,
     measure_to_json,
+    run_suite,
     wasserstein_distance,
 )
 from wasserline.cli import main
@@ -164,6 +165,14 @@ def test_apply_split_embedding_to_a_unit_measure_is_exit_three(tmp_path, capsys)
     assert main(["apply", iso, mu]) == 3
 
 
+def test_apply_shift_of_a_unit_measure_is_exit_three(tmp_path, capsys):
+    # x -> x + 1/2 takes [0, 1] off itself
+    iso = write_json(tmp_path, "iso.json", {"kind": "trivial", "orientation": 1, "offset": 0.5})
+    mu = write_measure(tmp_path, "mu.json", dirac(0.25, Domain.UNIT_INTERVAL))
+    assert main(["apply", iso, mu]) == 3
+    assert "map [0, 1] onto itself" in capsys.readouterr().err
+
+
 # ----------------------------------------------------------------------
 # verify
 
@@ -217,6 +226,20 @@ def test_verify_unknown_suite_is_exit_four(capsys):
         "distance-oracle", "slice-diameter", "klein-relations", "ladder-bound", "midpoint-geometry",
         "dirac-characterization", "exotic-flow", "embedding-gallery", "cdf-recovery",
     ]
+
+
+@pytest.mark.parametrize("trials", ["0", "-5"])
+def test_verify_without_a_trial_is_exit_two(trials, capsys):
+    # a report over no trial would read PASS without checking a row
+    assert main(["verify", "distance-oracle", "--trials", trials]) == 2
+    out = capsys.readouterr()
+    assert out.out == "" and "trials must be an integer >= 1" in out.err
+
+
+@pytest.mark.parametrize("trials", [0, -5, 1.5, float("nan")])
+def test_run_suite_rejects_a_trial_count_that_checks_nothing(trials):
+    with pytest.raises(ValueError, match="trials must be an integer >= 1"):
+        run_suite("exotic-flow", trials, 0)
 
 
 def test_verify_failed_suite_is_exit_one(monkeypatch, capsys):

@@ -8,18 +8,24 @@ import json
 import math
 import re
 import typing
+import warnings
 from pathlib import Path
 
+import mpmath
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import reference_kernels as ref
 from wasserline import (
     BarycentricReflection,
     Composition,
+    DiscreteMeasure,
     Domain,
     Exotic,
     Flip,
+    InvalidIntervalIsometry,
     Measure,
     PLF,
     QOutOfRange,
@@ -42,8 +48,20 @@ from wasserline import (
     verify_isometry,
     wasserstein_distance,
 )
-from wasserline.isometries import IsometryDescriptor
+from wasserline.isometries import Q_LIMIT, IsometryDescriptor
 from conftest import dirac, uniform01
+
+_EPS = np.finfo(float).eps
+
+
+@st.composite
+def small_discrete(draw) -> DiscreteMeasure:
+    """1 to 12 atoms on the real line, at least 1e-3 apart."""
+    n = draw(st.integers(1, 12))
+    start = draw(st.floats(-10.0, 10.0))
+    steps = draw(st.lists(st.floats(1e-3, 5.0), min_size=n - 1, max_size=n - 1))
+    raw = np.array(draw(st.lists(st.floats(1e-3, 1.0), min_size=n, max_size=n)))
+    return DiscreteMeasure(start + np.concatenate([[0.0], np.cumsum(steps)]), raw / raw.sum())
 
 
 # ----------------------------------------------------------------------
@@ -90,6 +108,13 @@ def test_describe_is_informative():
 
 # ----------------------------------------------------------------------
 # pushforward actions
+
+
+def test_trivial_shift_of_a_unit_interval_measure_is_rejected():
+    # only the identity and x -> 1 - x map [0, 1] onto itself
+    assert Domain.UNIT_INTERVAL not in Trivial(1, 0.5).domains
+    with pytest.raises(InvalidIntervalIsometry):
+        apply(Trivial(1, 0.5), uniform01())
 
 
 def test_trivial_reflection_moves_a_dirac():
@@ -244,6 +269,96 @@ def test_grid_operator_matches_the_discrete_closed_form():
     for bad in (1, 2.5, float("inf"), float("nan")):
         with pytest.raises(ValueError):
             exotic_apply_grid(mu, q, bad)
+
+
+@settings(max_examples=300, deadline=None)
+@given(x=st.floats(-1e6, 1e6), q=st.floats(-Q_LIMIT, Q_LIMIT))
+@example(x=0.3, q=0.7)
+@example(x=0.3, q=1e-12)
+@example(x=0.3, q=-1e-12)
+@example(x=0.3, q=Q_LIMIT)
+@example(x=-1e6, q=-Q_LIMIT)
+@example(x=-0.0, q=-1.3)
+def test_exotic_fixes_every_dirac_bit_for_bit(x, q):
+    # Phi^q keeps the mean and the variance, so delta_x maps to delta_x
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        [(y, w)] = apply(Exotic(q), dirac(x)).atoms()
+    assert y == x and w == 1.0  # equal nonzero floats have equal bits; -0.0 + 0.0 is 0.0
+
+
+def _mp_exotic_positions(mu: DiscreteMeasure, q: float):
+    """(1 - e^q) m + e^q v_k + (e^q - e^{-q}) (S_{k-1} - v_k c_{k-1}) at 50
+    digits on the float atoms, and the mean m."""
+    with mpmath.workdps(50):
+        eq, emq = mpmath.exp(q), mpmath.exp(-q)
+        v = [mpmath.mpf(float(x)) for x in mu.positions]
+        w = [mpmath.mpf(float(x)) for x in mu.weights]
+        m = mpmath.fsum(a * b for a, b in zip(v, w))
+        out, s, c = [], mpmath.mpf(0), mpmath.mpf(0)
+        for a, b in zip(v, w):
+            out.append((1 - eq) * m + eq * a + (eq - emq) * (s - a * c))
+            s, c = s + a * b, c + b
+        return out, m
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    mu=small_discrete(),
+    q=st.one_of(st.floats(-2.0, 2.0), st.floats(-1e-6, 1e-6), st.sampled_from([1e-12, -1e-12, 5e-324])),
+)
+@example(mu=two_point_from_param(TwoPointParam(0.0, 1.0, 0.0)), q=1e-12)
+@example(mu=DiscreteMeasure(np.array([-3.0, 1e-3, 7.0]), np.array([0.25, 0.5, 0.25])), q=-1e-9)
+def test_exotic_closed_form_against_50_digits(mu, q):
+    got = exotic_apply_discrete(mu, q).positions
+    want, m = _mp_exotic_positions(mu, q)
+    assert len(got) == len(want)
+    scale = float(np.max(np.abs(mu.positions))) + abs(float(m))
+    for g, x in zip(got, want):
+        assert abs(mpmath.mpf(float(g)) - x) <= 16 * _EPS * scale
+
+
+@settings(max_examples=200, deadline=None)
+@given(mu=small_discrete(), q=st.floats(-2.0, 2.0), t=st.floats(-30.0, 30.0))
+def test_exotic_keeps_the_distance_to_every_dirac_at_p2(mu, q, t):
+    # d_2(mu, delta_t)^2 is the variance plus (mean - t)^2, and Phi^q keeps
+    # both: the Dirac profile is why p = 2 is exceptional on the line
+    mu = mu.to_measure()
+    before = wasserstein_distance(mu, dirac(t), 2.0)
+    after = wasserstein_distance(apply(Exotic(q), mu), dirac(t), 2.0)
+    scale = max(float(np.max(np.abs(mu.quantile.yl))), abs(t))
+    assert abs(after - before) <= 64 * _EPS * scale
+
+
+@pytest.mark.parametrize("q", [19.0, -19.0, 25.0, -25.0, Q_LIMIT, -Q_LIMIT])
+def test_exotic_at_the_edge_of_its_range_returns_or_raises_q_out_of_range(q):
+    rng = np.random.default_rng(59)
+    measures = [
+        from_atoms([(0.0, 0.5), (1.0, 0.5)]),
+        from_atoms([(-3.0, 0.9), (2.0, 0.1)]),
+        from_atoms([(0.0, 0.2), (1.0, 0.3), (5.0, 0.5)]),
+        dirac(0.3),
+        *(sampling.random_discrete_measure(rng, max_atoms=12) for _ in range(4)),
+    ]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for mu in measures:
+            try:
+                out = apply(Exotic(q), mu)
+            except QOutOfRange as exc:
+                assert "underflows to 0" in str(exc)
+            else:
+                assert out.is_discrete and np.isfinite(out.quantile.yl).all()
+
+
+def test_exotic_names_the_atom_mass_that_underflows():
+    # h_30(1/2) rounds to 1, so the upper atom's image mass, about e^-60, is 0
+    pair = from_atoms([(0.0, 0.5), (1.0, 0.5)])
+    with pytest.raises(QOutOfRange, match=r"mass 0\.5 at 1\.0 underflows to 0"):
+        apply(Exotic(-Q_LIMIT), pair)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # the end level 1 is pinned, not divided by 0
+        assert len(apply(Exotic(19.0), pair).atoms()) == 2
 
 
 # ----------------------------------------------------------------------
@@ -407,6 +522,12 @@ def test_verifier_passes_the_genuine_isometries():
     assert verify_isometry(BarycentricReflection(), 2.0, trials=40).passed
     assert verify_isometry(Exotic(0.7), 2.0, trials=40).passed
     assert verify_isometry(Composition([Flip(), Flip()]), 1.0, trials=20).passed
+
+
+@pytest.mark.parametrize("trials", [0, -2, 2.5, float("nan"), float("inf")])
+def test_verifier_rejects_a_trial_count_that_checks_nothing(trials):
+    with pytest.raises(ValueError, match="trials must be an integer >= 1"):
+        verify_isometry(Flip(), 1.0, trials=trials)
 
 
 def test_verifier_reports_honest_failure_out_of_order_scope():

@@ -60,7 +60,7 @@ SUITE_CSV_SHA256 = {
     "ladder-bound": "55740b93bb7173b8ba824c6b923dcdf70637ba7f76cb1d544faa9f037c110b70",
     "midpoint-geometry": "cf272a6249f9245155fddac6f5f87454a46a6641c31de9b4593b8e634da8f569",
     "dirac-characterization": "d34f5352ae90065897fe3433233b994eb44737792be36093b31c1283e72d8a52",
-    "exotic-flow": "78f3d3b22bf273b4017e2f898ab60e6bd8a0a2acb28559a0fbef1c0b88276d27",
+    "exotic-flow": "1fae80eec4a3b32db16cbe462b654831222b9da777ddd0aadf5c27e7a4a6f456",
     "embedding-gallery": "50a8b78e83390c9db57d8db1145ecc4057d3f776e86c99aa36b37fec8c76008f",
     "cdf-recovery": "477df8cccd54df16a66b85113f02e96389fcc8d69c72192d365159f4e66cee33",
 }
