@@ -20,10 +20,10 @@ from importlib import import_module as _import_module
 # ``wasserline.sampling`` resolves as the other submodules do
 _EXPORTS = {
     "errors": (
-        "WasserlineError", "NonPositiveWeight", "WeightSumOutOfTolerance", "LevelOutOfRange",
-        "DomainMismatch", "InvalidP", "ScopeMismatch", "InvalidIntervalIsometry", "QOutOfRange",
-        "NotMonotone", "StepOutOfRange", "UnsortedPositions", "PositionOutOfRange", "WeightError",
-        "TooManyAtoms", "NotBisectable", "EqualEndpoints", "AlphaOutOfRange",
+        "WasserlineError", "InvalidInput", "NonPositiveWeight", "WeightSumOutOfTolerance",
+        "LevelOutOfRange", "DomainMismatch", "InvalidP", "ScopeMismatch", "InvalidIntervalIsometry",
+        "QOutOfRange", "NotMonotone", "StepOutOfRange", "UnsortedPositions", "PositionOutOfRange",
+        "WeightError", "TooManyAtoms", "NotBisectable", "EqualEndpoints", "AlphaOutOfRange",
     ),
     "plf": ("PLF", "abs_pow_cells", "abs_pow_gap", "concat_plfs", "const_plf", "plf_combine", "plf_splice"),
     "measures": (

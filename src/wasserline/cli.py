@@ -8,7 +8,7 @@ Subcommands:
     generate KIND [params]        emit a JSON array of measures
 
 Exit codes are a stable contract: 0 success, 1 suite ran but failed,
-2 parse/validation problem, 3 scope or domain mismatch, 4 unknown suite.
+2 bad input, 3 scope or domain mismatch, 4 unknown suite (see ``errors``).
 """
 
 from __future__ import annotations
@@ -19,24 +19,16 @@ import sys
 
 import numpy as np
 
-from .errors import DomainMismatch, ScopeMismatch, WasserlineError
+from .errors import DomainMismatch, InvalidInput, ScopeMismatch, WasserlineError, _malformed
 from .measures import TwoPointParam, measure_from_json, measure_to_json, two_point_from_param
 from .metric import wasserstein_distance
 
 # ``dist`` needs only the modules above; each other command imports the
 # rest of what it runs, so a cold ``dist`` loads about half the package.
 
-_PARSE_ERRORS = (
-    json.JSONDecodeError,
-    KeyError,
-    TypeError,
-    ValueError,
-    OSError,
-)
-
 
 def _load_json(path: str):
-    with open(path, "r", encoding="utf-8") as fh:
+    with open(path, "r", encoding="utf-8") as fh, _malformed(f"JSON file {path!r}"):
         return json.load(fh)
 
 
@@ -114,16 +106,18 @@ def _cmd_generate(args) -> int:
     def need(name):
         value = getattr(args, name)
         if value is None:
-            raise ValueError(f"--{name} is required for kind {args.kind!r}")
+            raise InvalidInput(f"--{name} is required for kind {args.kind!r}")
         return value
 
     if args.kind == "qn":
         measures = qn_elements(int(need("n")))
     elif args.kind == "mn-random":
         n = _check_level_index(need("n"))  # before 2**n positions are drawn
+        if args.count < 1:
+            raise InvalidInput(f"--count must be >= 1, got {args.count}")
         measures = [
             mn_element(np.sort(rng_for(int(args.seed), i).uniform(0.0, 1.0, 2**n)))
-            for i in range(max(1, int(args.count)))
+            for i in range(args.count)
         ]
     elif args.kind == "slice-extremal":
         measures = list(slice_extremal_pair(float(need("t"))))
@@ -144,12 +138,9 @@ def main(argv: list[str] | None = None) -> int:
     }[args.command]
     try:
         return handler(args)
-    except (ScopeMismatch, DomainMismatch) as exc:
+    except (WasserlineError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 3
-    except (WasserlineError, *_PARSE_ERRORS) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        return 3 if isinstance(exc, (ScopeMismatch, DomainMismatch)) else 2
 
 
 if __name__ == "__main__":  # pragma: no cover

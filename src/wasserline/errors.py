@@ -1,14 +1,33 @@
-"""Exception types for the library.
+"""Exception types for the library, and its one boundary for outside data.
 
-Every error raised by the public API derives from WasserlineError, so
-callers can catch one base class.  The CLI maps subfamilies to exit
-codes: input/validation problems exit 2, scope and domain problems
-exit 3.
+Every error raised for bad input is a WasserlineError; InvalidInput, also
+a ValueError, names a fault with no class of its own.  The JSON readers
+and the CLI's file reader pass ``_malformed``.  The CLI exits 3 on
+ScopeMismatch and DomainMismatch and 2 on any other WasserlineError or an
+OSError; any other exception is a bug and propagates.
 """
+
+from contextlib import contextmanager
 
 
 class WasserlineError(Exception):
     """Base class for all library errors."""
+
+
+class InvalidInput(WasserlineError, ValueError):
+    """Invalid input that no more specific class names."""
+
+
+@contextmanager
+def _malformed(what: str):
+    """A KeyError, TypeError, ValueError or OverflowError in the block becomes
+    ``InvalidInput("malformed <what>: ...")``; a WasserlineError passes."""
+    try:
+        yield
+    except WasserlineError:
+        raise
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
+        raise InvalidInput(f"malformed {what}: {exc}") from exc
 
 
 class NonPositiveWeight(WasserlineError):

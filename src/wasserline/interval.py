@@ -17,36 +17,30 @@ import numpy as np
 
 from .errors import (
     AlphaOutOfRange,
-    DomainMismatch,
+    InvalidInput,
     InvalidP,
     PositionOutOfRange,
     UnsortedPositions,
     WeightError,
 )
-from .measures import Domain, Measure, dist_to_dirac, from_atoms
+from .measures import Domain, Measure, _common_domain, _require_unit, dist_to_dirac, from_atoms
 from .metric import check_order
-from .plf import PLF, _power_cells, abs_pow_cells, plf_combine
+from .plf import PLF, _power_cells, abs_pow_gap, plf_combine
 
 _MAX_LADDER = 20  # 2^20 atoms is already far beyond any sane use
 _EPS = float(np.finfo(float).eps)
 
 
-def _require_unit(mu: Measure) -> None:
-    if mu.domain is not Domain.UNIT_INTERVAL:
-        raise DomainMismatch("this structure lives on unit-interval measures")
-
-
 def _check_level_index(n: int) -> int:
     if not (n >= 0 and n % 1 == 0):  # NaN and inf fail too
-        raise ValueError("the ladder index n must be a nonnegative integer")
+        raise InvalidInput("the ladder index n must be a nonnegative integer")
     if n > _MAX_LADDER:
-        raise ValueError(f"ladder index {n} is too large")
+        raise InvalidInput(f"ladder index {n} is too large")
     return int(n)
 
 
 def slice_of(mu: Measure) -> float:
     """The slice coordinate t = d_1(d_0, mu); equals the barycenter."""
-    _require_unit(mu)
     return dist_to_dirac(mu, 0.0)
 
 
@@ -75,7 +69,7 @@ def qn_elements(n: int) -> list[Measure]:
     """
     n = _check_level_index(n)
     if n > 12:
-        raise ValueError("refusing to materialize more than 4096 elements")
+        raise InvalidInput("refusing to materialize more than 4096 elements")
     denom = float(2 ** (n + 1))
     out = []
     for k in range(1, 2**n + 1):
@@ -88,7 +82,7 @@ def mn_element(positions) -> Measure:
     """Equal-weight measure on sorted positions in [0, 1]."""
     pos = np.asarray(positions, dtype=np.float64).ravel()
     if pos.size == 0:
-        raise ValueError("need at least one position")
+        raise InvalidInput("need at least one position")
     if np.any(np.diff(pos) < 0.0):
         raise UnsortedPositions("positions must be sorted nondecreasingly")
     if not np.all((pos >= 0.0) & (pos <= 1.0)):  # NaN fails too
@@ -191,9 +185,9 @@ def nearest_in_mn(mu: Measure, n: int, p: float) -> tuple[Measure, float]:
             done = stay | small | empty
     a = np.maximum.accumulate(np.clip(a, 0.0, 1.0))
     # the element is constant on each block, so the refined quantile's
-    # cells are a common grid of the two
-    u, v = q.yl - a[cell_block], q.yr - a[cell_block]
-    return _equal_weight_element(a), float(np.sum(abs_pow_cells(w, u, v, p)) ** (1.0 / p))
+    # breaks are a common grid of the two
+    at = a[cell_block]
+    return _equal_weight_element(a), abs_pow_gap(q, PLF._trusted(q.breaks, at, at), p) ** (1.0 / p)
 
 
 def t_star(alpha: float, p: float) -> float:
@@ -231,8 +225,6 @@ def convex_hull_combination(items) -> Measure:
     if abs(total - 1.0) > 1e-9:
         raise WeightError(f"combination weights sum to {total!r}")
     pairs = [(mu, w) for mu, w in pairs if w > 0.0]  # not empty: the total is near 1
-    domain = pairs[0][0].domain
-    if any(mu.domain is not domain for mu, _ in pairs):
-        raise DomainMismatch("combination mixes domains")
+    domain = _common_domain(*(mu for mu, _ in pairs))
     q = plf_combine([mu.quantile for mu, _ in pairs], [w / total for _, w in pairs])
     return Measure(domain, q)

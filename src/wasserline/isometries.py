@@ -23,7 +23,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .errors import LevelOutOfRange, NonPositiveWeight, QOutOfRange, ScopeMismatch
+from .errors import InvalidInput, LevelOutOfRange, NonPositiveWeight, QOutOfRange, ScopeMismatch, _malformed
 from .measures import (
     _UNIT_AFFINE,
     DiscreteMeasure,
@@ -99,7 +99,7 @@ class Trivial(_Descriptor):
 
     def __post_init__(self) -> None:
         if self.orientation not in (1, -1):
-            raise ValueError("orientation must be +1 or -1")
+            raise InvalidInput("orientation must be +1 or -1")
         object.__setattr__(self, "orientation", int(self.orientation))
         object.__setattr__(self, "offset", float(self.offset))
 
@@ -215,10 +215,10 @@ class SplitEmbedding(_Descriptor):
     def __post_init__(self) -> None:
         pr = self.profile
         if pr.breaks[0] != -1.0 or pr.breaks[-1] != 1.0:
-            raise ValueError("the profile must live on [-1, 1]")
+            raise InvalidInput("the profile must live on [-1, 1]")
         lo, hi = pr.value_range
         if lo < _THIRD or hi > _TWO_THIRDS:
-            raise ValueError("profile values must stay within [1/3, 2/3]")
+            raise InvalidInput("profile values must stay within [1/3, 2/3]")
 
     @classmethod
     def default(cls) -> "SplitEmbedding":
@@ -265,7 +265,7 @@ class Composition(_Descriptor):
     def __post_init__(self) -> None:
         object.__setattr__(self, "items", tuple(self.items))
         if not self.items:
-            raise ValueError("empty composition")
+            raise InvalidInput("empty composition")
 
     @property
     def domains(self) -> frozenset:
@@ -309,13 +309,11 @@ def apply(iso, mu: Measure) -> Measure:
 
 
 def isometry_from_json(data: dict):
-    try:
+    with _malformed("isometry object"):
         kind = data["kind"]
-    except (KeyError, TypeError) as exc:
-        raise ValueError(f"malformed isometry object: {exc}") from exc
-    if kind not in _KINDS:
-        raise ValueError(f"unknown isometry kind {kind!r}")
-    return _KINDS[kind].from_json(data)
+        if kind not in _KINDS:
+            raise InvalidInput(f"unknown isometry kind {kind!r}")
+        return _KINDS[kind].from_json(data)
 
 
 # ----------------------------------------------------------------------
@@ -392,7 +390,7 @@ def exotic_apply_grid(mu: Measure, q: float, grid_size: int) -> list[tuple[float
     if mu.domain is not Domain.REAL_LINE:
         raise ScopeMismatch("the exotic flow acts on real-line measures")
     if not (grid_size >= 2 and grid_size % 1 == 0):  # NaN and inf fail too
-        raise ValueError("grid_size must be an integer >= 2")
+        raise InvalidInput("grid_size must be an integer >= 2")
     grid_size = int(grid_size)
     x = (np.arange(grid_size) + 0.5) / grid_size
     s = _h(x, q)

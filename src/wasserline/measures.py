@@ -44,6 +44,7 @@ import numpy as np
 
 from .errors import (
     DomainMismatch,
+    InvalidInput,
     InvalidIntervalIsometry,
     LevelOutOfRange,
     NonPositiveWeight,
@@ -51,6 +52,7 @@ from .errors import (
     StepOutOfRange,
     TooManyAtoms,
     WeightSumOutOfTolerance,
+    _malformed,
 )
 from .plf import PLF, _without_empty_cells
 
@@ -116,7 +118,7 @@ class Measure:
 
     def atoms(self) -> list[tuple[float, float]]:
         if not self.is_discrete:
-            raise ValueError("measure has a continuous part")
+            raise InvalidInput("measure has a continuous part")
         q = self.quantile
         w = np.diff(q.breaks)
         return [(float(x), float(m)) for x, m in zip(q.yl, w)]
@@ -127,6 +129,19 @@ class Measure:
         else:
             body = f"pl_quantile with {self.quantile.num_segments} segments"
         return f"Measure({self.domain.value}: {body})"
+
+
+def _common_domain(mu: Measure, *others: Measure) -> Domain:
+    """The domain of ``mu``, which every one of ``others`` must share."""
+    for nu in others:
+        if nu.domain is not mu.domain:
+            raise DomainMismatch("the measures live on different domains")
+    return mu.domain
+
+
+def _require_unit(mu: Measure) -> None:
+    if mu.domain is not Domain.UNIT_INTERVAL:
+        raise DomainMismatch("this operation takes unit-interval measures only")
 
 
 @dataclass(frozen=True, eq=False)
@@ -152,7 +167,7 @@ class DiscreteMeasure:
         pos = np.asarray(self.positions, dtype=np.float64).ravel()
         w = np.asarray(self.weights, dtype=np.float64).ravel()
         if len(pos) != len(w) or len(pos) == 0:
-            raise ValueError("need matching nonempty position/weight arrays")
+            raise InvalidInput("need matching nonempty position/weight arrays")
         if not np.isfinite(pos).all():
             raise PositionOutOfRange("non-finite atom position")
         lightest, heaviest = w.min(), w.max()
@@ -204,7 +219,7 @@ class DiscreteMeasure:
         """The atoms of a discrete measure: canonical flats are sorted and
         distinct already, so only the cell widths are normalized."""
         if not mu.is_discrete:
-            raise ValueError("measure has a continuous part")
+            raise InvalidInput("measure has a continuous part")
         q = mu.quantile
         w = np.diff(q.breaks)
         w /= float(w.sum())
@@ -228,7 +243,7 @@ def from_segments(domain: Domain, breaks, segments) -> Measure:
     breaks = np.asarray(breaks, dtype=np.float64)
     seg = np.asarray(segments, dtype=np.float64)
     if seg.ndim != 2 or seg.shape[1] != 2 or seg.shape[0] != len(breaks) - 1:
-        raise ValueError("need one (value, slope) pair per level cell")
+        raise InvalidInput("need one (value, slope) pair per level cell")
     a, b = seg[:, 0], seg[:, 1]
     w = np.diff(breaks)
     yl = a
@@ -256,8 +271,8 @@ def from_atoms(atoms, domain: Domain = Domain.REAL_LINE) -> Measure:
 
 def _atoms_measure(pos: np.ndarray, w: np.ndarray, domain: Domain) -> Measure:
     """Measure from sorted distinct finite positions and positive weights
-    summing to ~1, with no further checks: flat cells at increasing
-    values are canonical, and the breaks below are strictly increasing."""
+    summing to ~1: flat cells at increasing values are canonical, and the
+    breaks below are strictly increasing once the empty cells are dropped."""
     if domain is Domain.UNIT_INTERVAL and (pos[0] < 0.0 or pos[-1] > 1.0):
         raise PositionOutOfRange("atom outside the unit interval")
     breaks = np.empty(len(w) + 1)
@@ -269,11 +284,7 @@ def _atoms_measure(pos: np.ndarray, w: np.ndarray, domain: Domain) -> Measure:
     # running total), are dropped, and the lost mass is far under the
     # weight tolerance
     np.minimum(breaks, 1.0, out=breaks)
-    keep = breaks[1:] > breaks[:-1]
-    if not keep.all():
-        breaks = np.append(breaks[:-1][keep], 1.0)
-        pos = pos[keep]
-    return Measure._trusted(domain, PLF._trusted(breaks, pos, pos))
+    return Measure._trusted(domain, _without_empty_cells(breaks, pos, pos))
 
 
 # ----------------------------------------------------------------------
@@ -292,7 +303,7 @@ def cdf_eval(mu: Measure, x):
     """F(x) = mu((-inf, x]); vectorized."""
     arr = np.asarray(x, dtype=np.float64)
     if np.any(np.isnan(arr)):
-        raise ValueError("evaluation point is NaN")
+        raise InvalidInput("evaluation point is NaN")
     lo, hi = mu.quantile.value_range
     out = np.zeros(arr.shape)
     out = np.where(arr >= hi, 1.0, out)
@@ -319,7 +330,7 @@ def pushforward_affine(mu: Measure, orientation: int, offset: float) -> Measure:
     (-1, 1) stay inside; anything else is rejected.
     """
     if orientation not in (1, -1):
-        raise ValueError("orientation must be +1 or -1")
+        raise InvalidInput("orientation must be +1 or -1")
     offset = float(offset)
     if mu.domain is Domain.UNIT_INTERVAL and (orientation, offset) not in _UNIT_AFFINE:
         raise InvalidIntervalIsometry("only the identity and x -> 1 - x map [0, 1] onto itself")
@@ -343,8 +354,7 @@ def flip(mu: Measure) -> Measure:
     mu's quantile function.  An involution, and it maps each Dirac d_t to
     t*d_0 + (1-t)*d_1.
     """
-    if mu.domain is not Domain.UNIT_INTERVAL:
-        raise DomainMismatch("flip is defined on unit-interval measures")
+    _require_unit(mu)
     return Measure(Domain.UNIT_INTERVAL, mu.quantile.padded_inverse(0.0, 1.0))
 
 
@@ -367,11 +377,11 @@ class TwoPointParam:
 
     def __post_init__(self) -> None:
         if not np.isfinite(self.x) or not np.isfinite(self.sigma) or not np.isfinite(self.p):
-            raise ValueError("chart coordinates must be finite")
+            raise InvalidInput("chart coordinates must be finite")
         if self.sigma < 0.0:
-            raise ValueError("sigma is a scale and must be nonnegative")
+            raise InvalidInput("sigma is a scale and must be nonnegative")
         if self.sigma == 0.0 and self.p != 0.0:
-            raise ValueError("the Dirac fiber fixes p = 0")
+            raise InvalidInput("the Dirac fiber fixes p = 0")
 
 
 def two_point_from_param(tp: TwoPointParam) -> DiscreteMeasure:
@@ -409,8 +419,7 @@ def dist_to_dirac(mu: Measure, t: float) -> float:
     Computed on the CDF side as integral_0^t F + integral_t^1 (1 - F);
     every term is a trapezoid cell, so dyadic data stays exact.
     """
-    if mu.domain is not Domain.UNIT_INTERVAL:
-        raise DomainMismatch("dirac distances are a unit-interval tool")
+    _require_unit(mu)
     t = float(t)
     if not (0.0 <= t <= 1.0):
         raise PositionOutOfRange("the Dirac location must lie in [0, 1]")
@@ -428,8 +437,7 @@ def cdf_from_dirac_distances(mu: Measure, t: float, h: float) -> float:
     Exact whenever no mass sits in (t, t + h]; otherwise accurate to the
     mass of that sliver.
     """
-    if mu.domain is not Domain.UNIT_INTERVAL:
-        raise DomainMismatch("dirac distances are a unit-interval tool")
+    _require_unit(mu)
     t = float(t)
     h = float(h)
     if not (0.0 <= t < 1.0):
@@ -460,13 +468,11 @@ def measure_to_json(mu: Measure) -> dict:
 
 
 def measure_from_json(data: dict) -> Measure:
-    try:
+    with _malformed("measure object"):
         domain = Domain(data["domain"])
         kind = data["type"]
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ValueError(f"malformed measure object: {exc}") from exc
-    if kind == "discrete":
-        return from_atoms([(float(p), float(w)) for p, w in data["atoms"]], domain=domain)
-    if kind == "pl_quantile":
-        return from_segments(domain, data["breaks"], data["segments"])
-    raise ValueError(f"unknown measure type {kind!r}")
+        if kind == "discrete":
+            return from_atoms([(float(p), float(w)) for p, w in data["atoms"]], domain=domain)
+        if kind == "pl_quantile":
+            return from_segments(domain, data["breaks"], data["segments"])
+        raise InvalidInput(f"unknown measure type {kind!r}")

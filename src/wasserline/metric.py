@@ -17,8 +17,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainMismatch, InvalidP, NotMonotone
-from .measures import DiscreteMeasure, Measure
+from .errors import InvalidP, NotMonotone
+from .measures import DiscreteMeasure, Measure, _common_domain
 from .plf import PLF, _blend, _nodes, abs_pow_gap, on_common_grid
 
 
@@ -31,8 +31,7 @@ def check_order(p) -> float:
 
 def wasserstein_distance(mu: Measure, nu: Measure, p=2.0) -> float:
     """d_p(mu, nu); zero exactly when the canonical representations agree."""
-    if mu.domain is not nu.domain:
-        raise DomainMismatch("cannot compare measures on different domains")
+    _common_domain(mu, nu)
     p = check_order(p)
     if mu == nu:
         return 0.0
@@ -89,8 +88,7 @@ class MonotoneRange:
 
 
 def monotone_range(mu: Measure, nu: Measure) -> MonotoneRange:
-    if mu.domain is not nu.domain:
-        raise DomainMismatch("geodesics need a common domain")
+    _common_domain(mu, nu)
     return _monotone_range(*on_common_grid(mu.quantile, nu.quantile))
 
 
@@ -119,8 +117,7 @@ def geodesic_point(mu: Measure, nu: Measure, s: float) -> Measure:
     long as the blend stays monotone.
     """
     s = float(s)
-    if mu.domain is not nu.domain:
-        raise DomainMismatch("geodesics need a common domain")
+    _common_domain(mu, nu)
     f, g = on_common_grid(mu.quantile, nu.quantile)
     if not _monotone_range(f, g).contains(s):
         raise NotMonotone(f"s={s!r} leaves the monotone parameter range")

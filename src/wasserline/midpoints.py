@@ -30,8 +30,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DomainMismatch, EqualEndpoints, NotBisectable, NotMonotone
-from .measures import Domain, Measure
+from .errors import EqualEndpoints, InvalidInput, NotBisectable, NotMonotone
+from .measures import Domain, Measure, _common_domain
 from .metric import geodesic_point, wasserstein_distance
 from .plf import PLF, _envelope, _nodes, _with_crossings, _without_empty_cells, abs_pow_cells
 from .plf import common_grid, on_common_grid, plf_splice
@@ -130,11 +130,9 @@ def _half_area_point(F: PLF, G: PLF) -> float:
 
 
 def midpoint_geometry(mu: Measure, nu: Measure) -> MidpointGeometry:
-    if mu.domain is not nu.domain:
-        raise DomainMismatch("midpoint geometry needs one common domain")
     if mu == nu:
         raise EqualEndpoints("midpoint geometry needs two distinct measures")
-    D = wasserstein_distance(mu, nu, 1.0)
+    D = wasserstein_distance(mu, nu, 1.0)  # gates the domains
     if D == 0.0:
         raise EqualEndpoints("measures coincide")
     fm, fn = _cdf_pair(mu, nu)
@@ -192,8 +190,7 @@ def _midpoint_gap(xi: Measure, mu: Measure, nu: Measure, D: float) -> float:
 
 
 def is_midpoint(xi: Measure, mu: Measure, nu: Measure, tol: float = 1e-9) -> bool:
-    if xi.domain is not mu.domain or mu.domain is not nu.domain:
-        raise DomainMismatch("all three measures must share a domain")
+    _common_domain(xi, mu, nu)
     return _midpoint_gap(xi, mu, nu, wasserstein_distance(mu, nu, 1.0)) <= tol
 
 
@@ -206,8 +203,7 @@ def is_adjacent(mu: Measure, nu: Measure) -> AdjacencyWitness | None:
     on which both are constant.  All comparisons are bitwise; no
     tolerance is involved.
     """
-    if mu.domain is not nu.domain:
-        raise DomainMismatch("adjacency needs one common domain")
+    _common_domain(mu, nu)
     if mu == nu:
         return None
     fm, fn = _cdf_pair(mu, nu)
@@ -326,7 +322,7 @@ def dirac_certificate(eta: Measure, n: float) -> tuple[Measure, Measure] | None:
     """
     n = float(n)
     if not np.isfinite(n) or n <= 0.0:
-        raise ValueError("the certificate distance must be positive")
+        raise InvalidInput("the certificate distance must be positive")
     q = eta.quantile
     yl, yr, breaks = q.yl, q.yr, q.breaks
     m = q.num_segments

@@ -28,12 +28,9 @@ of a valid function), ``inverse`` (after its tiling check),
 ``interval.mn_element`` builds after its checks and
 ``interval.nearest_in_mn`` builds from positions clipped to [0, 1] and
 made nondecreasing by a running maximum (one atom per run of equal
-positions, on the breaks k/m), the quantile of
-``measures.from_atoms``/``DiscreteMeasure.to_measure`` (sorted distinct
-finite atoms after ``DiscreteMeasure``'s checks, on cumulative weights
-clamped at one with the zero-width cells dropped), ``Measure``'s clip
-into [0, 1] (clipping is monotone) and ``sampling.random_unit_measure``
-(sorted draws with the zero-width cells dropped).
+positions, on the breaks k/m), ``Measure``'s clip into [0, 1] (clipping
+is monotone) and ``sampling.random_unit_measure`` (sorted draws with the
+zero-width cells dropped).
 
 Values nondecreasing by construction that an overflow or a non-finite
 factor can still spoil go through ``_finite_ends``, which checks the two
@@ -43,7 +40,9 @@ nondecreasing under rounding), ``_blend`` with nonnegative coefficients
 behind ``plf_combine``, ``Translation``, ``convex_hull_combination`` and
 ``geodesic_point`` for s in [0, 1], and ``_without_empty_cells``
 (nondecreasing breaks and values), behind the reflections,
-``SplitEmbedding`` and the midpoint probe's junction shifts.  A signed
+``SplitEmbedding``, the midpoint probe's junction shifts and the quantile
+of ``measures.from_atoms``/``DiscreteMeasure.to_measure`` (sorted
+distinct atoms on cumulative weights clamped at one).  A signed
 blend (geodesic extrapolation) may decrease: ``_repair_monotone``
 flattens rounding noise and ``PLF(...)`` validates the result.
 
@@ -90,7 +89,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NotMonotone
+from .errors import InvalidInput, NotMonotone
 
 # keys and interior breaks from which _segment_index searches in sorted
 # order; with fewer breaks the binary search stays in cache and sorting
@@ -104,7 +103,7 @@ _GAP_BLOCK = 2**14
 def _as_float_array(x) -> np.ndarray:
     a = np.asarray(x, dtype=np.float64)
     if a.ndim != 1:
-        raise ValueError("expected a one-dimensional array")
+        raise InvalidInput("expected a one-dimensional array")
     return a
 
 
@@ -121,9 +120,9 @@ class PLF:
         yl = _as_float_array(self.yl)
         yr = _as_float_array(self.yr)
         if len(breaks) != len(yl) + 1 or len(yl) != len(yr):
-            raise ValueError("segment arrays do not match the break count")
+            raise InvalidInput("segment arrays do not match the break count")
         if len(yl) == 0:
-            raise ValueError("a PLF needs at least one segment")
+            raise InvalidInput("a PLF needs at least one segment")
         # every entry takes part in one of these comparisons and a NaN fails
         # it, and in increasing order only an end can be infinite, so the
         # full finiteness scan runs only to name the fault
@@ -131,12 +130,12 @@ class PLF:
         if not (rising and (yr >= yl).all() and (yl[1:] >= yr[:-1]).all()):
             for a in (breaks, yl, yr):
                 if not np.isfinite(a).all():
-                    raise ValueError("non-finite entry in a PLF array")
+                    raise InvalidInput("non-finite entry in a PLF array")
             if not rising:
                 raise NotMonotone("breakpoints must be strictly increasing")
             raise NotMonotone("segment values must be nondecreasing")
         if not all(map(math.isfinite, (breaks[0], breaks[-1], yl[0], yr[-1]))):
-            raise ValueError("non-finite entry in a PLF array")
+            raise InvalidInput("non-finite entry in a PLF array")
         for name, a in (("breaks", breaks), ("yl", yl), ("yr", yr)):
             a = a.copy()
             a.setflags(write=False)
@@ -217,7 +216,7 @@ class PLF:
         arr = np.asarray(y, dtype=np.float64)
         lo, hi = self.breaks[0], self.breaks[-1]
         if not np.all((arr >= lo) & (arr <= hi)):  # NaN fails too
-            raise ValueError("evaluation point outside the domain")
+            raise InvalidInput("evaluation point outside the domain")
         k = self._segment_index(arr, "right")
         v = self._interp(k, arr)
         v = np.where(arr == self.breaks[k], self.yl[k], v)
@@ -229,7 +228,7 @@ class PLF:
         arr = np.asarray(y, dtype=np.float64)
         lo, hi = self.breaks[0], self.breaks[-1]
         if not np.all((arr >= lo) & (arr <= hi)):  # NaN fails too
-            raise ValueError("evaluation point outside the domain")
+            raise InvalidInput("evaluation point outside the domain")
         k = self._segment_index(arr, "left")
         v = self._interp(k, arr)
         v = np.where(arr == self.breaks[k + 1], self.yr[k], v)
@@ -281,7 +280,7 @@ class PLF:
         if pts.size == 0:
             return self
         if not np.all((pts >= self.breaks[0]) & (pts <= self.breaks[-1])):  # NaN fails too
-            raise ValueError("refinement point outside the domain")
+            raise InvalidInput("refinement point outside the domain")
         return self.on_grid(*common_grid(self, points=[pts]))
 
     def restrict(self, lo: float, hi: float) -> "PLF":
@@ -289,7 +288,7 @@ class PLF:
         domain returns ``self``."""
         lo, hi = float(lo), float(hi)
         if not (self.breaks[0] <= lo < hi <= self.breaks[-1]):
-            raise ValueError("window must sit inside the domain")
+            raise InvalidInput("window must sit inside the domain")
         if lo == self.breaks[0] and hi == self.breaks[-1]:
             return self
         h = self.refine(np.array([lo, hi]))
@@ -307,7 +306,7 @@ class PLF:
         so only an overflow or a non-finite scale or shift can make the
         result invalid, and ``_finite_ends`` sees either."""
         if scale < 0:
-            raise ValueError("negative scale would reverse monotonicity")
+            raise InvalidInput("negative scale would reverse monotonicity")
         yl = shift + scale * self.yl
         return _finite_ends(self.breaks, yl, yl if self.yr is self.yl else shift + scale * self.yr)
 
@@ -337,7 +336,7 @@ class PLF:
         lo = b0 if lo is None else float(lo)
         hi = bm if hi is None else float(hi)
         if not (b0 <= lo <= hi <= bm):
-            raise ValueError("integration window outside the domain")
+            raise InvalidInput("integration window outside the domain")
         if lo == hi:
             return 0.0
         return float(np.sum(self.restrict(lo, hi)._cell_areas()))
@@ -346,7 +345,7 @@ class PLF:
         """Integral from the bottom break up to each point, vectorized."""
         t = np.asarray(points, dtype=np.float64)
         if not np.all((t >= self.breaks[0]) & (t <= self.breaks[-1])):  # NaN fails too
-            raise ValueError("integration point outside the domain")
+            raise InvalidInput("integration point outside the domain")
         cum = np.concatenate([[0.0], np.cumsum(self._cell_areas())])
         k = self._segment_index(t, "right")
         vt = self._interp(k, t)
@@ -369,7 +368,7 @@ class PLF:
         every junction into one slot; the rising slots are the pieces.
         """
         if self.yl[0] == self.yr[-1]:
-            raise ValueError("a constant function has a degenerate inverse")
+            raise InvalidInput("a constant function has a degenerate inverse")
         nodes = _nodes(self.yl, self.yr)
         levels = np.repeat(self.breaks, 2)[1:-1]
         k = np.flatnonzero(nodes[1:] != nodes[:-1])
@@ -388,7 +387,7 @@ class PLF:
         """
         v0, v1 = self.value_range
         if not (lo <= v0 and v1 <= hi and lo < hi):
-            raise ValueError("the window must contain the value range")
+            raise InvalidInput("the window must contain the value range")
         if v0 == v1:  # the jump sits at yl[0]; yr[-1] may be a zero of the other sign
             v1 = v0
         pieces = [const_plf(lo, v0, self.breaks[0])] if lo < v0 else []
@@ -449,11 +448,11 @@ def const_plf(lo: float, hi: float, value: float) -> PLF:
 def concat_plfs(pieces: list[PLF]) -> PLF:
     """Join PLFs with contiguous domains into one; seams must be monotone."""
     if not pieces:
-        raise ValueError("nothing to concatenate")
+        raise InvalidInput("nothing to concatenate")
     breaks = [pieces[0].breaks]
     for prev, nxt in zip(pieces, pieces[1:]):
         if prev.breaks[-1] != nxt.breaks[0]:
-            raise ValueError("pieces do not tile the domain")
+            raise InvalidInput("pieces do not tile the domain")
         if not prev.yr[-1] <= nxt.yl[0]:
             raise NotMonotone("pieces decrease across a seam")
         breaks.append(nxt.breaks[1:])
@@ -469,7 +468,7 @@ def _without_empty_cells(breaks: np.ndarray, yl: np.ndarray, yr: np.ndarray) -> 
     with the cells of zero width dropped.  A dropped cell's values lie
     between its neighbours', so the function stays monotone, and
     ``_finite_ends`` checks the values for an overflow."""
-    keep = np.diff(breaks) > 0.0
+    keep = breaks[1:] > breaks[:-1]
     if not keep.all():
         breaks = np.append(breaks[:-1][keep], breaks[-1])
         step = yr is yl
@@ -494,7 +493,7 @@ def common_grid(*fns: PLF, points: list[np.ndarray] | tuple = ()) -> tuple:
     for h in fns[1:]:
         b0, b = fns[0].breaks, h.breaks
         if b[0] != b0[0] or b[-1] != b0[-1]:
-            raise ValueError("functions live on different domains")
+            raise InvalidInput("functions live on different domains")
         same = same and len(b) == len(b0) and (b == b0).all()
     if same:
         return (fns[0].breaks,) + (None,) * len(fns)
@@ -574,7 +573,7 @@ def plf_combine(fns: list[PLF], coeffs) -> PLF:
     in exact-zero cells; those are flattened, anything larger raises.
     """
     if len(fns) != len(np.atleast_1d(coeffs)) or not fns:
-        raise ValueError("need one coefficient per function")
+        raise InvalidInput("need one coefficient per function")
     grid, *ks = common_grid(*fns)
     return _blend(grid, (h.on_grid(grid, k) for h, k in zip(fns, ks)), coeffs)
 
@@ -603,7 +602,7 @@ def _finite_ends(breaks: np.ndarray, yl: np.ndarray, yr: np.ndarray) -> PLF:
     an inf or NaN that an overflow, an infinite or a NaN factor puts
     anywhere also reaches an end node, so the ends are checked alone."""
     if not (math.isfinite(yl[0]) and math.isfinite(yr[-1])):
-        raise ValueError("non-finite entry in a PLF array")
+        raise InvalidInput("non-finite entry in a PLF array")
     return PLF._trusted(breaks, yl, yr)
 
 
@@ -633,7 +632,7 @@ def plf_splice(low: PLF, high: PLF, t: float) -> PLF:
     t = float(t)
     lo, hi = low.support
     if (lo, hi) != high.support:
-        raise ValueError("functions live on different domains")
+        raise InvalidInput("functions live on different domains")
     if t <= lo:
         return high
     if t >= hi:

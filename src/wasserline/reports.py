@@ -14,6 +14,8 @@ import csv
 import io
 from dataclasses import dataclass, field
 
+from .errors import InvalidInput
+
 
 @dataclass(frozen=True)
 class ReportRow:
@@ -83,7 +85,7 @@ def rows_to_csv(rows: list[ReportRow]) -> str:
 
 def _check_trials(trials) -> int:
     if not (trials >= 1 and trials % 1 == 0):  # NaN and inf fail; no trial would read PASS
-        raise ValueError(f"trials must be an integer >= 1, got {trials!r}")
+        raise InvalidInput(f"trials must be an integer >= 1, got {trials!r}")
     return int(trials)
 
 

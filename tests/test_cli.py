@@ -89,6 +89,50 @@ def test_dist_mixed_domains_is_a_domain_error(tmp_path, capsys):
     assert main(["dist", a, b]) == 3
 
 
+# bad input of each kind: the command line, with BAD for a file holding the
+# bytes given, MU for a valid measure file and NOPE for a path that does
+# not exist, and what stderr names
+MALFORMED = [
+    ("not-utf8", ["dist", "BAD", "MU"], b"\xff\xfe{}", "BAD"),
+    ("not-json", ["dist", "BAD", "MU"], b"{bad", "BAD"),
+    ("missing-file", ["dist", "NOPE", "MU"], None, "NOPE"),
+    ("no-atoms", ["dist", "BAD", "MU"], b'{"domain": "real", "type": "discrete"}',
+     "malformed measure object: 'atoms'"),
+    ("huge-position", ["dist", "BAD", "MU"], b'{"domain": "real", "type": "discrete", "atoms": [[1' + b"0" * 400
+     + b', 1]]}', "malformed measure object"),
+    ("exotic-null-q", ["apply", "BAD", "MU"], b'{"kind": "exotic", "q": null}', "malformed isometry object"),
+    ("trivial-no-orientation", ["apply", "BAD", "MU"], b'{"kind": "trivial"}',
+     "malformed isometry object: 'orientation'"),
+    ("out-in-missing-dir", ["verify", "distance-oracle", "--trials", "2", "--out", "NOPE/x.csv"], None, "NOPE"),
+]
+
+
+@pytest.mark.parametrize("argv, payload, named", [m[1:] for m in MALFORMED], ids=[m[0] for m in MALFORMED])
+def test_malformed_input_is_exit_two_and_named(tmp_path, capsys, argv, payload, named):
+    paths = {"MU": write_measure(tmp_path, "mu.json", dirac(0.0)), "NOPE": str(tmp_path / "nope")}
+    if payload is not None:
+        paths["BAD"] = str(tmp_path / "bad.json")
+        (tmp_path / "bad.json").write_bytes(payload)
+    for key, path in paths.items():
+        argv = [arg.replace(key, path) for arg in argv]
+        named = named.replace(key, path)
+    assert main(argv) == 2
+    out = capsys.readouterr()
+    assert out.out == "" and out.err.startswith("error: ") and named in out.err
+
+
+def test_a_library_bug_is_not_bad_input(tmp_path, monkeypatch):
+    # only library errors and file errors map to exit codes; a TypeError
+    # from inside the library is a bug and keeps its traceback
+    def broken(*args):
+        raise TypeError("a bug")
+
+    monkeypatch.setattr("wasserline.cli.wasserstein_distance", broken)
+    a = write_measure(tmp_path, "a.json", dirac(0.0))
+    with pytest.raises(TypeError, match="a bug"):
+        main(["dist", a, a])
+
+
 # ----------------------------------------------------------------------
 # apply
 
@@ -326,6 +370,14 @@ def test_generate_mn_random_checks_n_before_drawing(monkeypatch, capsys, n, mess
     monkeypatch.setattr(wasserline.sampling, "rng_for", no_draw)
     assert main(["generate", "mn-random", "--n", n]) == 2
     assert capsys.readouterr().err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize("count", ["0", "-3"])
+def test_generate_without_a_measure_is_exit_two(count, capsys):
+    # a count below one used to print one measure
+    assert main(["generate", "mn-random", "--n", "2", "--count", count]) == 2
+    out = capsys.readouterr()
+    assert out.out == "" and out.err == f"error: --count must be >= 1, got {count}\n"
 
 
 def test_generate_missing_parameter_is_exit_two(capsys):

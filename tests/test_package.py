@@ -33,7 +33,7 @@ PACKAGE = Path(wasserline.__file__).resolve().parent
 PUBLIC_NAMES = [
     "AdjacencyWitness", "AlphaOutOfRange", "BarycentricReflection", "Composition",
     "DiscreteMeasure", "Domain", "DomainMismatch", "EqualEndpoints", "Exotic", "Flip",
-    "InvalidIntervalIsometry", "InvalidP", "LevelOutOfRange", "Measure", "MidpointGeometry",
+    "InvalidInput", "InvalidIntervalIsometry", "InvalidP", "LevelOutOfRange", "Measure", "MidpointGeometry",
     "MonotoneRange", "NonPositiveWeight", "NotBisectable", "NotMonotone", "PLF",
     "PositionOutOfRange", "ProbeResult", "QOutOfRange", "ReportRow", "SUITES", "ScopeMismatch",
     "SplitEmbedding", "StepOutOfRange", "TooManyAtoms", "Translation", "Trivial",

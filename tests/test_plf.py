@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from scipy.integrate import quad
 
 from wasserline import (
+    InvalidInput,
     NotMonotone,
     PLF,
     abs_pow_cells,
@@ -52,7 +53,7 @@ def _gate_fault(breaks, yl, yr):
     """The construction gates written out one by one, finiteness first."""
     for a in (breaks, yl, yr):
         if not np.isfinite(a).all():
-            return ValueError, "non-finite entry in a PLF array"
+            return InvalidInput, "non-finite entry in a PLF array"
     if not (breaks[1:] > breaks[:-1]).all():
         return NotMonotone, "breakpoints must be strictly increasing"
     if (yr < yl).any() or (yl[1:] < yr[:-1]).any():
