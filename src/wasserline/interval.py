@@ -40,7 +40,8 @@ def _check_level_index(n: int) -> int:
 
 
 def slice_of(mu: Measure) -> float:
-    """The slice coordinate t = d_1(d_0, mu); equals the barycenter."""
+    """The slice coordinate t = d_1(d_0, mu), the integral of the quantile
+    gap to 0; on [0, 1] that is the barycenter, bit for bit."""
     return dist_to_dirac(mu, 0.0)
 
 

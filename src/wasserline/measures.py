@@ -26,6 +26,11 @@ on the validated pads of ``padded_inverse``.
 ``DiscreteMeasure.from_measure`` reads a discrete measure's atoms as they
 are, sorted and distinct, and only normalizes their masses.
 
+The distance to a Dirac, ``dist_to_dirac`` (behind
+``cdf_from_dirac_distances`` and ``interval.slice_of``), is the quantile
+gap to a constant through ``plf.abs_pow_gap``, the one home of every
+d_p, so it has the bits of ``wasserstein_distance(mu, d_t, 1)``.
+
 ``DiscreteMeasure`` sorts only what its atoms need, since an argsort of
 10^6 positions costs several times a plain sort of them.  Positions
 that are strictly increasing already (JSON round trips, the two-point
@@ -54,7 +59,7 @@ from .errors import (
     WeightSumOutOfTolerance,
     _malformed,
 )
-from .plf import PLF, _without_empty_cells
+from .plf import PLF, _without_empty_cells, abs_pow_gap, const_plf
 
 WEIGHT_TOL = 1e-9
 # slack for values that should sit in [0, 1] but picked up rounding noise
@@ -344,9 +349,7 @@ def pushforward_affine(mu: Measure, orientation: int, offset: float) -> Measure:
     nb = 1.0 - q.breaks[::-1]
     nb[0] = 0.0
     nb[-1] = 1.0
-    yl = offset - q.yr[::-1]
-    yr = yl if q.yl is q.yr else offset - q.yl[::-1]
-    return Measure(mu.domain, _without_empty_cells(nb, yl, yr))
+    return Measure(mu.domain, _without_empty_cells(nb, offset - q.yr[::-1], offset - q.yl[::-1]))
 
 
 def flip(mu: Measure) -> Measure:
@@ -410,23 +413,22 @@ def param_from_two_point(mu: DiscreteMeasure) -> TwoPointParam:
 
 
 # ----------------------------------------------------------------------
-# CDF-side tools on the unit interval
+# Dirac distances on the unit interval
 
 
 def dist_to_dirac(mu: Measure, t: float) -> float:
     """W1 distance from mu to the Dirac at t, both on [0, 1].
 
-    Computed on the CDF side as integral_0^t F + integral_t^1 (1 - F);
-    every term is a trapezoid cell, so dyadic data stays exact.
+    The integral of |Q - t| over the levels, through ``abs_pow_gap`` as
+    every d_p is: each cell is a trapezoid of the quantile gap, or the
+    crossing formula where Q passes t, so nothing cancels when the mass
+    sits just above or below t.
     """
     _require_unit(mu)
     t = float(t)
     if not (0.0 <= t <= 1.0):
         raise PositionOutOfRange("the Dirac location must lie in [0, 1]")
-    F = mu.quantile.padded_inverse(0.0, 1.0)
-    left = F.integral(0.0, t)
-    right = (1.0 - t) - F.integral(t, 1.0)
-    return left + right
+    return abs_pow_gap(mu.quantile, const_plf(0.0, 1.0, t), 1.0)
 
 
 def cdf_from_dirac_distances(mu: Measure, t: float, h: float) -> float:
@@ -434,8 +436,8 @@ def cdf_from_dirac_distances(mu: Measure, t: float, h: float) -> float:
 
         F(t) ~ (g + 1) / 2,  g = (d(t + h) - d(t)) / h.
 
-    Exact whenever no mass sits in (t, t + h]; otherwise accurate to the
-    mass of that sliver.
+    Each d is ``dist_to_dirac``, a quantile gap.  Exact whenever no mass
+    sits in (t, t + h]; otherwise accurate to the mass of that sliver.
     """
     _require_unit(mu)
     t = float(t)

@@ -30,7 +30,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import EqualEndpoints, InvalidInput, NotBisectable, NotMonotone
+from .errors import EqualEndpoints, InvalidInput, NotBisectable, NotMonotone, ScopeMismatch
 from .measures import Domain, Measure, _common_domain
 from .metric import geodesic_point, wasserstein_distance
 from .plf import PLF, _envelope, _nodes, _with_crossings, _without_empty_cells, abs_pow_cells
@@ -319,7 +319,12 @@ def dirac_certificate(eta: Measure, n: float) -> tuple[Measure, Measure] | None:
     (horizontal type: a gap of length B - A between atoms of weights
     w_A, w_B caps n at 2 (B - A) min(w_A, w_B)), so certificates die out
     beyond roughly twice the support diameter.
+
+    The certificates live on the real line, where a shifted atom may
+    leave [0, 1]; a unit-interval eta raises ScopeMismatch.
     """
+    if eta.domain is not Domain.REAL_LINE:
+        raise ScopeMismatch("Dirac certificates live on the real line")
     n = float(n)
     if not np.isfinite(n) or n <= 0.0:
         raise InvalidInput("the certificate distance must be positive")

@@ -47,23 +47,20 @@ blend (geodesic extrapolation) may decrease: ``_repair_monotone``
 flattens rounding noise and ``PLF(...)`` validates the result.
 
 A step function (every cell flat, as the quantile of a discrete measure)
-is a PLF whose ``yl`` and ``yr`` are one array object.
-``measures.from_atoms``, ``DiscreteMeasure.to_measure`` and the M_n
-elements of ``interval`` build one, ``PLF._trusted`` keeps the sharing,
-and so do ``on_grid`` (one gather serves both sides), ``map_values``,
-``_blend`` of step functions with nonnegative coefficients,
-``_without_empty_cells`` and the reflection in
-``measures.pushforward_affine``.  The validating ``PLF(...)`` (it copies
-each array), ``concat_plfs``, ``restrict``, ``canonical`` when it merges,
-a signed blend and ``Measure``'s clip into [0, 1] drop it; that only
-loses the cheap path, as equal arrays still hold equal values.  On two
-step functions ``abs_pow_gap`` takes one difference for both ends of
-its cells, and ``abs_pow_cells``/``_power_cells`` given ``b is a``
-compute the flat formula alone.  No bit moves: the general ``on_grid``
+is a PLF whose ``yl`` and ``yr`` are one array object.  The discrete
+constructors make one: ``measures.from_atoms`` and
+``DiscreteMeasure.to_measure``, and the M_n elements of ``interval``
+(``mn_element``'s and ``nearest_in_mn``'s).  ``PLF._trusted``,
+``on_grid`` (one gather serves both sides) and ``_without_empty_cells``
+keep the sharing, and the distance path reads it: on two step functions
+``abs_pow_gap`` takes one difference for both ends of its cells,
+``abs_pow_cells``/``_power_cells`` given ``b is a`` compute the flat
+formula alone, and ``Measure.is_discrete`` holds at once.  Every other
+operation builds two arrays; equal arrays still hold equal values, so
+only the cheap path is lost.  No bit moves: the general ``on_grid``
 computes a ``yl`` equal to ``yr`` bit for bit on a step function, the
 differences at both ends are then equal, and d = 0 sends every cell to
-that formula.  ``equals`` skips ``yr`` on two step functions, and
-``Measure.is_discrete`` holds at once.
+that formula.
 
 Each numeric idea has one private home: ``_nodes`` (the values in level
 order), ``_envelope`` (min or max of a pair from ``_with_crossings``),
@@ -171,16 +168,11 @@ class PLF:
         """Equality of the three arrays, value by value (0.0 == -0.0).
 
         The lengths and the end values reject before any array pass, and
-        ``yl`` before ``breaks``, which equal-weight measures share; two
-        step functions have equal ``yr`` once their ``yl`` are equal."""
+        ``yl`` before ``breaks``, which equal-weight measures share."""
         a, b = self, other
         if len(a.yl) != len(b.yl) or a.yl[0] != b.yl[0] or a.yr[-1] != b.yr[-1]:
             return False
-        return bool(
-            (a.yl == b.yl).all()
-            and (a.breaks == b.breaks).all()
-            and ((a.yr is a.yl and b.yr is b.yl) or (a.yr == b.yr).all())
-        )
+        return bool((a.yl == b.yl).all() and (a.breaks == b.breaks).all() and (a.yr == b.yr).all())
 
     # ------------------------------------------------------------------
     # evaluation
@@ -307,8 +299,7 @@ class PLF:
         result invalid, and ``_finite_ends`` sees either."""
         if scale < 0:
             raise InvalidInput("negative scale would reverse monotonicity")
-        yl = shift + scale * self.yl
-        return _finite_ends(self.breaks, yl, yl if self.yr is self.yl else shift + scale * self.yr)
+        return _finite_ends(self.breaks, shift + scale * self.yl, shift + scale * self.yr)
 
     # ------------------------------------------------------------------
     # min / max / clip
@@ -429,12 +420,7 @@ class PLF:
         starts = np.flatnonzero(keep)
         ends = np.concatenate([starts[1:] - 1, [self.num_segments - 1]])
         nb = np.concatenate([self.breaks[starts], self.breaks[-1:]])
-        yl, yr = self.yl[starts], self.yr[ends]
-        # a step function's merged flats hold equal values, so one array
-        # serves both sides unless a run joins 0.0 and -0.0
-        if self.yl is self.yr and np.array_equal(yl.view(np.uint64), yr.view(np.uint64)):
-            yr = yl
-        return PLF._trusted(nb, yl, yr)
+        return PLF._trusted(nb, self.yl[starts], self.yr[ends])
 
 
 # ----------------------------------------------------------------------
@@ -587,9 +573,8 @@ def _blend(grid: np.ndarray, fns, coeffs) -> PLF:
     coeffs = np.asarray(coeffs, dtype=np.float64)
     yl = yr = np.zeros(len(grid) - 1)
     for c, h in zip(coeffs, fns):
-        step = yr is yl and h.yr is h.yl  # step functions so far: yr would repeat yl
         yl = yl + c * h.yl
-        yr = yl if step else yr + c * h.yr
+        yr = yr + c * h.yr
     if np.any(coeffs < 0.0):
         return PLF(grid, *_repair_monotone(yl, yr))
     return _finite_ends(grid, yl, yr)

@@ -30,21 +30,12 @@ def random_discrete_measure(
     return from_atoms(zip(pos, w), domain=domain)
 
 
-def random_unit_measure(rng: np.random.Generator, dyadic_bits: int | None = None) -> Measure:
+def random_unit_measure(rng: np.random.Generator) -> Measure:
     """Mixed-type measure on [0, 1] of up to 6 cells: flats, rising
-    pieces and jumps.
-
-    With ``dyadic_bits`` set, all breaks and values are multiples of
-    2**-bits, so downstream identities that only shuffle or reflect the
-    arrays hold bit for bit.
-    """
+    pieces and jumps."""
     m = int(rng.integers(1, 7))
     breaks = np.concatenate([[0.0], np.sort(rng.uniform(0.0, 1.0, m - 1)), [1.0]])
     nodes = np.sort(rng.uniform(0.0, 1.0, 2 * m))
-    if dyadic_bits is not None:
-        scale = float(2**dyadic_bits)
-        breaks = np.round(breaks * scale) / scale
-        nodes = np.round(nodes * scale) / scale
     keep = np.diff(breaks) > 0.0
     breaks = np.concatenate([breaks[:1], breaks[1:][keep]])
     m = len(breaks) - 1

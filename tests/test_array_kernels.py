@@ -480,17 +480,6 @@ def _step_maps(mu: Measure, nu: Measure) -> dict:
     }
 
 
-@pytest.mark.parametrize("name", sorted(_step_maps(None, None)))
-def test_value_maps_and_blends_keep_a_step_function(name):
-    mu = from_atoms([(-0.0, 0.25), (1.0, 0.5), (3.0, 0.25)])
-    nu = from_atoms([(-2.0, 0.3), (0.5, 0.7)])
-    got = _step_maps(mu, nu)[name]()
-    want = _step_maps(_separate(mu), _separate(nu))[name]()
-    assert got.quantile.yl is got.quantile.yr
-    assert want.quantile.yl is not want.quantile.yr
-    assert same_measure(got, want)
-
-
 @settings(max_examples=100, deadline=None)
 @given(st.integers(0, 2**32 - 1))
 def test_value_maps_and_blends_of_step_functions_keep_their_bits(seed):
@@ -499,17 +488,6 @@ def test_value_maps_and_blends_of_step_functions_keep_their_bits(seed):
     shared, separate = _step_maps(mu, nu), _step_maps(_separate(mu), _separate(nu))
     for name in shared:
         assert same_measure(shared[name](), separate[name]())
-
-
-def test_a_merging_canonical_form_keeps_a_step_function():
-    # at s = 0 the blend is mu's atoms on the merged grid, whose canonical
-    # form merges the flats that nu's breaks split
-    mu = from_atoms([(-0.0, 0.25), (1.0, 0.5), (3.0, 0.25)])
-    nu = from_atoms([(-2.0, 0.3), (0.5, 0.7)])
-    got = geodesic_point(mu, nu, 0.0)
-    assert got.quantile.num_segments == 3
-    assert got.quantile.yl is got.quantile.yr
-    assert same_measure(got, geodesic_point(_separate(mu), _separate(nu), 0.0))
 
 
 @pytest.mark.parametrize("shared", [False, True])

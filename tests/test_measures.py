@@ -41,6 +41,7 @@ from wasserline import (
     pushforward_affine,
     quantile_eval,
     sampling,
+    slice_of,
     transport_lp_oracle,
     two_point_from_param,
     wasserstein_distance,
@@ -382,11 +383,21 @@ def test_flip_requires_the_unit_interval():
         flip(dirac(0.3, Domain.REAL_LINE))
 
 
+def _dyadic_unit_measure(rng: np.random.Generator) -> Measure:
+    """``random_unit_measure`` on the 2**-20 grid: its breaks and values
+    rounded to multiples of 2**-20 (rounding is monotone), and the cells
+    that close up dropped, so that identities which only shuffle or
+    reflect the arrays hold bit for bit."""
+    q = sampling.random_unit_measure(rng).quantile
+    b, yl, yr = (np.round(a * 2.0**20) / 2.0**20 for a in (q.breaks, q.yl, q.yr))
+    keep = b[1:] > b[:-1]
+    return Measure(Domain.UNIT_INTERVAL, PLF(np.append(b[:-1][keep], 1.0), yl[keep], yr[keep]))
+
+
 @settings(max_examples=40, deadline=None)
 @given(st.integers(0, 2**32 - 1))
 def test_flip_is_a_bitwise_involution_on_dyadic_measures(seed):
-    rng = np.random.default_rng(seed)
-    mu = sampling.random_unit_measure(rng, dyadic_bits=20)
+    mu = _dyadic_unit_measure(np.random.default_rng(seed))
     assert flip(flip(mu)) == mu
 
 
@@ -451,7 +462,36 @@ def test_dist_to_dirac_matches_the_metric():
         mu = sampling.random_unit_measure(rng)
         t = float(rng.uniform(0.0, 1.0))
         want = wasserstein_distance(mu, dirac(t, Domain.UNIT_INTERVAL), 1.0)
-        assert dist_to_dirac(mu, t) == pytest.approx(want, abs=1e-14)
+        assert dist_to_dirac(mu, t) == want
+
+
+def test_dirac_distances_read_mass_just_above_the_dirac():
+    # the quantile gap has nothing to cancel: a measure next to the Dirac
+    # is at its exact distance, never at 0
+    unit = Domain.UNIT_INTERVAL
+    assert slice_of(dirac(1e-20, unit)) == 1e-20
+    assert slice_of(dirac(1e-10, unit)) == 1e-10
+    assert dist_to_dirac(dirac(0.3 + 1e-12, unit), 0.3) == (0.3 + 1e-12) - 0.3
+
+
+@st.composite
+def unit_measures_and_points(draw) -> tuple[Measure, float]:
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if draw(st.booleans()):
+        mu = sampling.random_unit_measure(rng)
+    else:
+        mu = sampling.random_discrete_measure(rng, Domain.UNIT_INTERVAL)
+    t = draw(st.one_of(st.floats(0.0, 1.0), st.integers(0, 2**10).map(lambda k: k / 2**10)))
+    return mu, t
+
+
+@settings(max_examples=300, deadline=None)
+@given(unit_measures_and_points())
+def test_dirac_distances_are_the_metric_bit_for_bit(case):
+    mu, t = case
+    want = wasserstein_distance(mu, dirac(t, Domain.UNIT_INTERVAL), 1.0)
+    assert dist_to_dirac(mu, t).hex() == want.hex()
+    assert slice_of(mu).hex() == barycenter(mu).hex()
 
 
 def test_dist_to_dirac_gates():

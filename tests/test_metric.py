@@ -18,7 +18,9 @@ from wasserline import (
     DomainMismatch,
     InvalidP,
     NotMonotone,
+    cdf_from_dirac_distances,
     check_order,
+    dist_to_dirac,
     from_atoms,
     geodesic_point,
     monotone_range,
@@ -26,7 +28,7 @@ from wasserline import (
     transport_lp_oracle,
     wasserstein_distance,
 )
-from wasserline import interval, metric, plf
+from wasserline import interval, measures, metric, plf
 from conftest import dirac, linprog_transport, quad_quantile_gap, uniform01
 
 
@@ -61,20 +63,30 @@ def test_a_geodesic_point_merges_its_grid_once():
 
 
 def test_distances_and_the_projection_share_one_power_kernel():
-    # one home for the cells of |affine|^r: a fix made there reaches both
+    # one home for the cells of |affine|^r: a fix made there reaches the
+    # distances, the Dirac distances and the projection alike
     mu = sampling.random_unit_measure(np.random.default_rng(5))
     nu = from_atoms([(0.25, 0.5), (0.75, 0.5)], domain=Domain.UNIT_INTERVAL)
     kernel = mock.Mock(wraps=plf._power_cells)
     cells = mock.Mock(wraps=plf.abs_pow_cells)
+    gap = mock.Mock(wraps=plf.abs_pow_gap)
     with (
         mock.patch.object(plf, "_power_cells", kernel),
         mock.patch.object(interval, "_power_cells", kernel),
         mock.patch.object(plf, "abs_pow_cells", cells),
+        mock.patch.object(measures, "abs_pow_gap", gap),
     ):
         assert wasserstein_distance(mu, nu, 2.0) > 0.0
         assert (cells.call_count, [c.args[3:] for c in kernel.call_args_list]) == (1, [(2.0, False)])
         cells.reset_mock()
         kernel.reset_mock()
+        # one gap per Dirac distance: one for d(t), two for the recovered CDF
+        assert dist_to_dirac(mu, 0.5) > 0.0
+        assert (gap.call_count, cells.call_count) == (1, 1)
+        cdf_from_dirac_distances(mu, 0.5, 2.0**-10)
+        assert (gap.call_count, cells.call_count) == (3, 3)
+        assert all(c.args[2] == 1.0 for c in gap.call_args_list) and not kernel.called
+        cells.reset_mock()
         interval.nearest_in_mn(mu, 1, 1.5)
     orders = [c.args[3:] for c in kernel.call_args_list]
     # the Newton steps of the projection (slope, then curvature), then its

@@ -94,6 +94,7 @@ SITES = [
      "different domains"),
     ("is_adjacent-domains", lambda: is_adjacent(uniform01(), dirac(0.0)), DomainMismatch, "different domains"),
     ("dirac_certificate-0", lambda: dirac_certificate(dirac(0.0), 0.0), InvalidInput, "must be positive"),
+    ("dirac_certificate-unit", lambda: dirac_certificate(dirac(0.5, _UNIT), 0.2), ScopeMismatch, "real line"),
     # plf
     ("plf-2d", lambda: PLF(np.zeros((2, 2)), np.zeros(1), np.zeros(1)), InvalidInput, "one-dimensional"),
     ("plf-mismatched", lambda: PLF([0.0, 1.0, 2.0], [0.0], [1.0]), InvalidInput, "break count"),
