@@ -1,8 +1,9 @@
-"""Package-level contracts: the version, the public names, the
-distances a suite computes, bit-stable small-pair distances, one trial
-count per suite in the registry, the benchmark inputs and the README,
-and suite seeds that once failed their own tolerance.  The suites'
-byte-stable output is pinned in ``test_acceptance``."""
+"""Package-level contracts: the version, the public names, byte-stable
+5-trial suite output, the distances a suite computes, bit-stable
+small-pair distances, one trial count per suite in the registry, the
+benchmark inputs and the README, and suite seeds that once failed their
+own tolerance.  The suites' full seed-0 output is pinned in
+``test_acceptance``."""
 
 from __future__ import annotations
 
@@ -22,6 +23,7 @@ import pytest
 import wasserline
 from wasserline import metric, midpoints, suites
 from wasserline.cli import main
+from wasserline.reports import rows_to_csv
 from wasserline.suites import SUITES, run_suite
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -49,6 +51,21 @@ PUBLIC_NAMES = [
     "slice_of", "t_star", "transport_lp_oracle", "two_point_from_param",
     "verify_isometry", "wasserstein_distance",
 ]
+
+# SHA-256 of rows_to_csv(run_suite(id, trials=5, seed=0)); see
+# test_suite_csv_digest.
+SUITE_CSV_SHA256 = {
+    "distance-oracle": "d0aca2dc7e061022d16ba3e5355cd655e9a2d4a3a4bf2b012cfd8c318775875e",
+    "slice-diameter": "835bfaed55d031a8259823c3ad8b26eb4c988434de1b52527ebceeb2f7516320",
+    "klein-relations": "6c750573b2926ffb12f9b085efb9b61ab4d11c04e5214f1a2570d1c98941c4a6",
+    "ladder-bound": "55740b93bb7173b8ba824c6b923dcdf70637ba7f76cb1d544faa9f037c110b70",
+    "midpoint-geometry": "cf272a6249f9245155fddac6f5f87454a46a6641c31de9b4593b8e634da8f569",
+    "dirac-characterization": "d34f5352ae90065897fe3433233b994eb44737792be36093b31c1283e72d8a52",
+    "exotic-flow": "1fae80eec4a3b32db16cbe462b654831222b9da777ddd0aadf5c27e7a4a6f456",
+    "embedding-gallery": "50a8b78e83390c9db57d8db1145ecc4057d3f776e86c99aa36b37fec8c76008f",
+    "cdf-recovery": "1366416ef9b8d715b80acb09e97776bcc8ecae548e05346d745d54dfed4032e4",
+}
+
 
 def test_version_matches_pyproject():
     with open(ROOT / "pyproject.toml", "rb") as fh:
@@ -125,6 +142,22 @@ def test_each_module_imports_first_in_a_fresh_interpreter(module):
     # first, and every public name resolves after it
     name = "wasserline" if module == "__init__" else f"wasserline.{module}"
     _fresh(f"import {name}, wasserline; [getattr(wasserline, n) for n in wasserline.__all__]")
+
+
+@pytest.mark.parametrize("suite_id", sorted(SUITES))
+def test_suite_csv_digest(suite_id):
+    """Every suite's CSV stays byte-identical at seed 0 and 5 trials.
+
+    Each trial draws from ``rng_for(seed, trial)``, so these rows are
+    also rows of the full seed-0 run that ``test_acceptance`` pins; this
+    cheaper digest names the suite that moved when a change is tried at
+    a few trials.  A suite missing from the table fails here.  The same
+    rules as the acceptance pins hold: a change that moves rows on
+    purpose re-pins them and names them in CHANGES.md, and rows at p not
+    in {1, 2} that are not dyadic depend on NumPy's SIMD power kernel.
+    """
+    _, rows = run_suite(suite_id, trials=5, seed=0)
+    assert hashlib.sha256(rows_to_csv(rows).encode()).hexdigest() == SUITE_CSV_SHA256[suite_id]
 
 
 def test_dirac_suite_takes_each_certificate_distance_from_its_geometry():
