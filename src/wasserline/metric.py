@@ -115,10 +115,14 @@ def geodesic_point(mu: Measure, nu: Measure, s: float) -> Measure:
     For s in [0, 1] this is the metric geodesic for every p > 1 (and a
     geodesic among many for p = 1); outside [0, 1] it extends exactly as
     long as the blend stays monotone.
+
+    The monotone range always holds [0, 1], in floats too: every step a
+    of f and b of g is >= 0, so -a/(b-a) <= 0 and, as fl(a-b) <= a,
+    a/(a-b) >= 1.  Only s outside [0, 1] (or NaN) scans for it.
     """
     s = float(s)
     _common_domain(mu, nu)
     f, g = on_common_grid(mu.quantile, nu.quantile)
-    if not _monotone_range(f, g).contains(s):
+    if not 0.0 <= s <= 1.0 and not _monotone_range(f, g).contains(s):
         raise NotMonotone(f"s={s!r} leaves the monotone parameter range")
     return Measure(mu.domain, _blend(f.breaks, [f, g], [1.0 - s, s]))

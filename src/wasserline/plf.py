@@ -72,11 +72,16 @@ with no masks, no power calls and nothing to cancel; other orders take
 whole arrays when every cell is steep or every cell is flat, and masks
 only when both kinds occur.  ``abs_pow_cells`` takes p = 1 as trapezoids
 and computes the zero-crossing formula only when some cell crosses.
-``abs_pow_gap`` makes one kernel call on a grid of at most ``_GAP_BLOCK``
-cells; a larger grid computes its cells in blocks of ``_GAP_BLOCK``,
-whose temporaries stay in cache, into one array.  Each cell is
-elementwise, and one sum over that array keeps the pairwise-summation
-tree, so the sum has the bits of a single pass.
+``abs_pow_gap`` works one window of at most ``_GAP_BLOCK`` breaks of the
+finer function at a time, so that no full-length temporary is built:
+two functions with different breaks merge, regrid and take the kernel
+per window, and a shared grid takes the kernel in blocks of
+``_GAP_BLOCK`` cells.  A grid of at most one block is one merge and one
+kernel call.  Every node and cell is the one the whole grid gives (a
+window's merge keeps the first copy of a tie, and ``on_grid``
+interpolates from each segment's own anchors), the cells go into one
+array, and one sum over it keeps the pairwise-summation tree, so the
+sum has the bits of a single pass.
 """
 
 from __future__ import annotations
@@ -93,7 +98,8 @@ from .errors import InvalidInput, NotMonotone
 # the keys costs more than it saves
 _SORTED_SEARCH_MIN = 2048
 
-# cells per block of abs_pow_gap: the block's temporaries fit in L2
+# breaks of the finer function per window of abs_pow_gap, and cells per
+# block of a shared grid: the temporaries of a window fit in L2
 _GAP_BLOCK = 2**14
 
 
@@ -231,40 +237,53 @@ class PLF:
     # regridding
 
     def on_grid(self, grid: np.ndarray, k: np.ndarray | None) -> "PLF":
-        """Re-express on ``grid``, a strictly increasing superset of breaks.
+        """Re-express on ``grid``, a strictly increasing array that holds
+        every break between its ends.  A grid over the whole domain gives
+        the function; one over a window [grid[0], grid[-1]] gives its
+        restriction there, with the bits of the whole grid's cells.
 
         ``k`` is the segment of each grid cell, ``_segment_index(grid[:-1],
         "right")``, as ``common_grid`` returns it (``None`` only when the
-        grid is the breaks, which returns ``self``, as does a grid as long
-        as the breaks); nothing is searched.
+        grid is the breaks, which returns ``self``, as does a whole grid
+        as long as the breaks); nothing is searched.
 
         Every cell ends on ``yr[k]``, one gather.  Since the grid holds
-        every break, a cell starts a segment exactly where ``k`` steps, and
-        each segment has one such cell, which starts on ``yl`` in order;
-        the other cells start on an inserted node.  An inserted node is
-        interpolated once, and the value serves both cells that meet
-        there, so the two sides agree bit for bit and refinement never
-        introduces spurious jumps.  Only nodes inserted inside rising
-        segments are interpolated; one inserted inside a flat segment
-        takes ``yr`` directly, which is what the pinned interpolation
-        returns there (including the sign of a zero).
+        every break, a cell starts a segment exactly where ``k`` steps (or
+        first, when the grid starts on a break), and each segment has one
+        such cell, which starts on ``yl`` in order; the other cells start
+        on an inserted node.  An inserted node is interpolated once, and
+        the value serves both cells that meet there, so the two sides
+        agree bit for bit and refinement never introduces spurious jumps.
+        A window's end inside a rising segment is interpolated alike, so
+        the windows on either side of it agree too.  Only nodes inserted
+        inside rising segments are interpolated; one inserted inside a
+        flat segment takes ``yr`` directly, which is what the pinned
+        interpolation returns there (including the sign of a zero).
         """
-        if k is None or len(grid) == len(self.breaks):
+        b = self.breaks
+        if k is None or (len(grid) == len(b) and grid[0] == b[0] and grid[-1] == b[-1]):
             return self
         nyr = self.yr[k]
         if self.yl is self.yr:  # a step function: every cell is flat
             return PLF._trusted(grid, nyr, nyr)
         nyl = nyr.copy()
         step = np.empty(len(k), dtype=bool)
-        step[0] = True
+        step[0] = grid[0] == b[k[0]]
         np.not_equal(k[1:], k[:-1], out=step[1:])
-        nyl[step.nonzero()[0]] = self.yl  # a boolean-mask store is 3x slower on 10^6 cells
-        rising = self.yl != self.yr
+        starts = step.nonzero()[0]
+        top = k[-1] + 1  # past the last segment the grid covers
+        nyl[starts] = self.yl[top - len(starts) : top]  # a boolean-mask store is 3x slower on 10^6 cells
+        rising = self.yl[k] != nyr  # per cell, whether its segment rises
         if rising.any():
             # cells whose left node is inserted inside a rising segment;
             # the cell before ends on the same node, inside the same segment
-            i = (rising[k] & ~step).nonzero()[0]
+            i = (rising & ~step).nonzero()[0]
             nyl[i] = nyr[i - 1] = self._interp(k[i], grid[i])
+            if grid[-1] != b[-1] or not step[0]:
+                # a window: a first cell inside a segment (i = 0) wrote
+                # nyr[-1] above, and the last cell may end inside one
+                end = grid[-1:]
+                nyr[-1] = self._interp(k[-1:], end)[0] if end[0] < b[top] and rising[-1] else self.yr[top - 1]
         return PLF._trusted(grid, nyl, nyr)
 
     def refine(self, points) -> "PLF":
@@ -478,20 +497,32 @@ def common_grid(*fns: PLF, points: list[np.ndarray] | tuple = ()) -> tuple:
     same = not points
     for h in fns[1:]:
         b0, b = fns[0].breaks, h.breaks
-        if b[0] != b0[0] or b[-1] != b0[-1]:
-            raise InvalidInput("functions live on different domains")
+        _same_domain(b0, b)
         same = same and len(b) == len(b0) and (b == b0).all()
     if same:
         return (fns[0].breaks,) + (None,) * len(fns)
-    both = np.concatenate([h.breaks for h in fns] + list(points))
+    return _merged([h.breaks for h in fns] + list(points), len(fns))
+
+
+def _same_domain(b0: np.ndarray, b: np.ndarray) -> None:
+    if b[0] != b0[0] or b[-1] != b0[-1]:
+        raise InvalidInput("functions live on different domains")
+
+
+def _merged(arrays: list[np.ndarray], nfns: int) -> tuple:
+    """``common_grid``'s merge of sorted ``arrays``, the first ``nfns``
+    of them a function's breaks each: the grid, and per function the
+    number of its entries up to each node below the top one, less one."""
+    both = np.concatenate(arrays)
     order = both.argsort(kind="stable")
     nodes = both[order]
     del both
     # per function: is each merged entry its own or an earlier function's
     upto_end, end = [], 0
-    for h in fns:
-        end += len(h.breaks)
-        upto_end.append(order < end if end < len(order) else None)
+    for i, a in enumerate(arrays[:nfns]):
+        end += len(a)
+        # the last array owns every entry past the others: no mask
+        upto_end.append(None if i == len(arrays) - 1 else order < end)
     del order
     first = np.empty(len(nodes), dtype=bool)
     first[0] = True
@@ -724,36 +755,81 @@ def abs_pow_cells(w, a, b, p: float) -> np.ndarray:
     return _power_cells(w, a, b, p, False)
 
 
+def _merged_windows(f: PLF, g: PLF):
+    """f and g on their merged grid, one window at a time: per window the
+    grid and the four value arrays, its cells the merged cells in order.
+
+    The window edges are every ``_GAP_BLOCK``-th break of the one with
+    more breaks (f on a tie), the lead; the other's breaks go to the
+    window at or above whose edge they lie (``side="left"``), so a value
+    in both arrays is merged in one window, where the first copy (f's)
+    stays the node.  A window merges the lead's breaks up to and with its
+    right edge, where its last cell ends, and the other's below it; its
+    ``k`` count from the slices' starts, so ``on_grid`` interpolates each
+    node from its segment's own anchors, as on the whole grid."""
+    fb, gb = f.breaks, g.breaks
+    _same_domain(fb, gb)
+    f_leads = len(fb) >= len(gb)
+    lead, other = (fb, gb) if f_leads else (gb, fb)
+    starts = np.arange(0, len(lead) - 1, _GAP_BLOCK)
+    edges = np.append(np.searchsorted(other, lead[starts], side="left"), len(other))
+    for s, o, o_end in zip(starts.tolist(), edges[:-1].tolist(), edges[1:].tolist()):
+        a, b = lead[s : s + _GAP_BLOCK + 1], other[o:o_end]
+        grid, kf, kg = _merged([a, b] if f_leads else [b, a], 2)
+        kf += s if f_leads else o
+        kg += o if f_leads else s
+        F, G = f.on_grid(grid, kf), g.on_grid(grid, kg)
+        yield grid, F.yl, F.yr, G.yl, G.yr
+
+
+def _in_one_array(parts, n: int) -> np.ndarray:
+    """The arrays of ``parts``, at most n entries in all, in order in one array."""
+    out, e = np.empty(n), 0
+    for c in parts:
+        out[e : e + len(c)] = c
+        e += len(c)
+    return out[:e]
+
+
 def abs_pow_gap(f: PLF, g: PLF, p: float) -> float:
     """integral of |f - g|^p over the domain, exact per cell.
 
-    A grid of at most ``_GAP_BLOCK`` cells is one kernel call.  Larger
-    grids compute their cells ``_GAP_BLOCK`` at a time into one array, so
-    the widths, differences and kernel temporaries of a block stay in
-    cache instead of each taking fresh full-size pages.  Every cell is
-    the value the one-pass computation gives, and the one sum over the
-    whole array keeps NumPy's pairwise-summation tree, so the result has
-    the same bits.
+    Functions of at most ``_GAP_BLOCK`` segments each, and functions on
+    one grid, take ``on_common_grid``: one merge, then one kernel call, or
+    for a larger shared grid one per block of ``_GAP_BLOCK`` cells.  Other
+    functions merge, regrid and take the kernel one window at a time
+    (``_merged_windows``), so no full-length grid, segment index, sort
+    order, mask or regridded value array is built and the temporaries of
+    a window stay in cache.  Equal break counts that agree on the first
+    block are taken for one grid, which ``common_grid`` then checks in
+    full.  Every cell is the value the one-pass computation gives, the
+    cells go into one array, and the one sum over it keeps NumPy's
+    pairwise-summation tree, so the result has the same bits.
 
     On two step functions one difference serves both ends of every cell.
     A gap that overflows at both ends of a cell makes the p = 2
     polynomial's rise inf - inf; such a cell's integral is inf, as the
     flat formula gives, so a NaN total at p = 2 reads inf.
     """
-    F, G = on_common_grid(f, g)
-    x, fl, fr, gl, gr = F.breaks, F.yl, F.yr, G.yl, G.yr
-    step = fl is fr and gl is gr
+    step = f.yl is f.yr and g.yl is g.yr
 
-    def block(s: int, e: int) -> np.ndarray:
-        a = fl[s:e] - gl[s:e]
-        return abs_pow_cells(x[s + 1 : e + 1] - x[s:e], a, a if step else fr[s:e] - gr[s:e], p)
+    def block(x, fl, fr, gl, gr) -> np.ndarray:
+        a = fl - gl
+        return abs_pow_cells(x[1:] - x[:-1], a, a if step else fr - gr, p)
 
-    n = len(fl)
-    if n <= _GAP_BLOCK:
-        cells = block(0, n)
+    fb, gb, m = f.breaks, g.breaks, _GAP_BLOCK
+    if (len(fb) <= m + 1 and len(gb) <= m + 1) or (len(fb) == len(gb) and (fb[:m] == gb[:m]).all()):
+        F, G = on_common_grid(f, g)
+        x, fl, fr, gl, gr = F.breaks, F.yl, F.yr, G.yl, G.yr
+        n = len(fl)
+        if n <= m:
+            cells = block(x, fl, fr, gl, gr)
+        else:
+            blocks = ((x[s : s + m + 1], fl[s : s + m], fr[s : s + m], gl[s : s + m], gr[s : s + m])
+                      for s in range(0, n, m))
+            cells = _in_one_array((block(*w) for w in blocks), n)
     else:
-        cells = np.empty(n)
-        for s in range(0, n, _GAP_BLOCK):
-            cells[s : s + _GAP_BLOCK] = block(s, min(s + _GAP_BLOCK, n))
+        # two such break arrays merge to at most len(fb) + len(gb) - 3 cells
+        cells = _in_one_array((block(*w) for w in _merged_windows(f, g)), len(fb) + len(gb) - 3)
     total = float(cells.sum())
     return math.inf if p == 2.0 and math.isnan(total) else total

@@ -18,6 +18,7 @@ range and the Dirac certificate.
 from __future__ import annotations
 
 import dataclasses
+import hashlib
 import warnings
 from unittest import mock
 
@@ -68,6 +69,7 @@ from wasserline.midpoints import (
 from wasserline.plf import (
     _GAP_BLOCK,
     _SORTED_SEARCH_MIN,
+    _merged_windows,
     _nodes,
     _power_cells,
     _with_crossings,
@@ -352,6 +354,24 @@ def test_large_merged_pairs_match_the_searched_grid():
         _assert_gaps_match_the_searched_grid(f, g)
 
 
+# SHA-256 of wasserstein_distance(x, y, p).hex() over _large_merged_pairs(),
+# each pair in both argument orders at p in {1, 1.5, 2, 3}; like the other
+# pins, p not in {1, 2} depends on the NumPy build's power kernel
+LARGE_MERGED_SHA256 = "a65dadd60ff7b6c1733fd68506d7de34c8c74a64e59176f53b20004776153f4b"
+
+
+def test_large_merged_distances_are_bit_stable():
+    """The multi-window distances, pinned apart from ``on_common_grid``,
+    which the one-pass references above share with the library."""
+    h = hashlib.sha256()
+    for f, g in _large_merged_pairs():
+        mu, nu = Measure(Domain.REAL_LINE, f), Measure(Domain.REAL_LINE, g)
+        for p in (1.0, 1.5, 2.0, 3.0):
+            for x, y in ((mu, nu), (nu, mu)):
+                h.update(wasserstein_distance(x, y, p).hex().encode())
+    assert h.hexdigest() == LARGE_MERGED_SHA256
+
+
 def _gap_in_one_pass(f: PLF, g: PLF, p: float) -> float:
     F, G = on_common_grid(f, g)
     return float(np.sum(abs_pow_cells(np.diff(F.breaks), F.yl - G.yl, F.yr - G.yr, p)))
@@ -368,18 +388,84 @@ def _pair_with_cells(rng: np.random.Generator, n: int) -> tuple[PLF, PLF]:
     return f, g
 
 
+def _ramp(rng: np.random.Generator, breaks: np.ndarray) -> PLF:
+    """Random ramps, flats and jumps on ``breaks``."""
+    k = 2 * (len(breaks) - 1)
+    nodes = np.cumsum(np.where(rng.random(k) < 0.3, 0.0, rng.random(k))) - float(k) / 4
+    return PLF(breaks, nodes[0::2], nodes[1::2])
+
+
+def _steps(rng: np.random.Generator, breaks: np.ndarray) -> PLF:
+    """A step function on ``breaks``: one value array for both ends."""
+    v = np.cumsum(rng.random(len(breaks) - 1))
+    return PLF._trusted(breaks, v, v)
+
+
+def _window_edge_pairs(rng: np.random.Generator) -> list[tuple[PLF, PLF]]:
+    """Pairs whose merge spans several windows, built around the window
+    edges (every ``_GAP_BLOCK``-th break of the function with more)."""
+    m = _GAP_BLOCK
+    # dyadic lead on [0, 1] with edges at 1/4, 1/2 and 3/4; the other has
+    # ties on both sides of each edge, the edges themselves and a break off
+    # the lead, so edges that are and are not the other's breaks both occur
+    lead = np.arange(4 * m + 1) / (4 * m)
+    ties = np.array([j * m + d for j in (1, 2, 3) for d in (-1, 0, 1)])
+    tied = np.sort(np.concatenate([[0.0, 0.5 + 2.0**-20, 1.0], lead[ties]]))
+    # on [-1, 1] the middle edge is 0.0, and the other holds -0.0 there: the
+    # node keeps f's copy whichever function leads
+    signed = np.arange(2 * m + 1) / m - 1.0
+    zero = np.array([-1.0, -(2.0**-15), -0.0, 2.0**-15, 1.0])
+    # a rising segment of the other spans every edge, so each edge node of
+    # the other is interpolated
+    spanning = np.array([0.0, 0.125, 1.0])
+    return [
+        (_ramp(rng, lead), _ramp(rng, tied)),
+        (_steps(rng, lead), _ramp(rng, tied)),
+        (_steps(rng, lead), _steps(rng, tied)),
+        (_ramp(rng, signed), _ramp(rng, zero)),
+        (_ramp(rng, lead), PLF(spanning, [-1.0, 0.0], [0.0, 1.0])),
+    ]
+
+
 @pytest.mark.parametrize("p", [1.0, 1.5, 2.0, 3.0])
 def test_blocked_gap_matches_the_one_pass_sum(p):
-    """``abs_pow_gap`` works in blocks of ``_GAP_BLOCK`` cells: several
-    blocks with a partial last one, and grids one cell short of, equal to
-    and one past a block give the bits of one pass over all cells."""
+    """``abs_pow_gap`` merges, regrids and computes the cells one window of
+    ``_GAP_BLOCK`` lead breaks at a time (a shared grid in blocks of
+    ``_GAP_BLOCK`` cells), and gives the bits of one pass over the whole
+    merged grid: at window edges that are or are not the other function's
+    breaks, with ties and a signed zero on an edge, with an edge inside
+    the other's rising segment, with leads of one cell short of, equal to
+    and one past a window, and on merges of several windows with a partial
+    last one, in both argument orders."""
     rng = np.random.default_rng(7)
-    pairs = _large_merged_pairs() + [_pair_with_cells(rng, n) for n in (_GAP_BLOCK - 1, _GAP_BLOCK, _GAP_BLOCK + 1)]
+    m = _GAP_BLOCK
+    sized = [_pair_with_cells(rng, n) for n in (m - 1, m, m + 1, m + 2)]
+    assert [max(f.num_segments, g.num_segments) for f, g in sized[1:]] == [m - 1, m, m + 1]
+    pairs = _large_merged_pairs() + sized + _window_edge_pairs(rng)
     cells = [on_common_grid(f, g)[0].num_segments for f, g in pairs]
-    assert cells[-3:] == [_GAP_BLOCK - 1, _GAP_BLOCK, _GAP_BLOCK + 1]
-    assert any(n > 4 * _GAP_BLOCK and n % _GAP_BLOCK for n in cells)
+    assert cells[6:9] == [m - 1, m, m + 1]
+    assert any(n > 4 * m and n % m for n in cells)
     for f, g in pairs:
-        assert same_bits(abs_pow_gap(f, g, p), _gap_in_one_pass(f, g, p))
+        for x, y in ((f, g), (g, f)):
+            assert same_bits(abs_pow_gap(x, y, p), _gap_in_one_pass(x, y, p))
+
+
+def test_merged_windows_are_slices_of_the_whole_grid():
+    """Each window's grid and values are the bits of the one-shot merge
+    and regrid over its cells, and the windows tile the merged grid."""
+    rng = np.random.default_rng(11)
+    pairs = [_pair_with_cells(rng, n) for n in (_GAP_BLOCK + 2, 3 * _GAP_BLOCK)] + _window_edge_pairs(rng)
+    for f, g in pairs:
+        for x, y in ((f, g), (g, f)):
+            F, G = on_common_grid(x, y)
+            e, windows = 0, 0
+            for grid, fl, fr, gl, gr in _merged_windows(x, y):
+                n = len(fl)
+                assert same_bits(grid[:-1], F.breaks[e : e + n]) and grid[-1] == F.breaks[e + n]
+                for got, want in ((fl, F.yl), (fr, F.yr), (gl, G.yl), (gr, G.yr)):
+                    assert same_bits(got, want[e : e + n])
+                e, windows = e + n, windows + 1
+            assert e == F.num_segments and windows > 1
 
 
 # ----------------------------------------------------------------------

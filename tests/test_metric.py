@@ -62,6 +62,22 @@ def test_a_geodesic_point_merges_its_grid_once():
     assert mid == from_atoms([(0.25, 0.25), (0.75, 0.25), (1.5, 0.5)])
 
 
+def test_a_geodesic_point_inside_the_segment_skips_the_range_scan():
+    # [0, 1] lies in every monotone range, so only s outside it (or NaN)
+    # scans the steps; the points are those of the scanned path
+    mu = from_atoms([(0.0, 0.5), (1.0, 0.5)])
+    nu = from_atoms([(0.0, 0.5), (3.0, 0.5)])
+    with mock.patch.object(metric, "_monotone_range", wraps=metric._monotone_range) as scan:
+        points = [geodesic_point(mu, nu, s) for s in (0.0, 0.5, 1.0)]
+        assert scan.call_count == 0
+        assert geodesic_point(mu, nu, -0.5) == dirac(0.0)
+        for bad in (-0.6, float("nan")):
+            with pytest.raises(NotMonotone):
+                geodesic_point(mu, nu, bad)
+        assert scan.call_count == 3
+    assert points == [mu, from_atoms([(0.0, 0.5), (2.0, 0.5)]), nu]
+
+
 def test_distances_and_the_projection_share_one_power_kernel():
     # one home for the cells of |affine|^r: a fix made there reaches the
     # distances, the Dirac distances and the projection alike
