@@ -237,10 +237,10 @@ class PLF:
     # regridding
 
     def on_grid(self, grid: np.ndarray, k: np.ndarray | None) -> "PLF":
-        """Re-express on ``grid``, a strictly increasing array that holds
-        every break between its ends.  A grid over the whole domain gives
-        the function; one over a window [grid[0], grid[-1]] gives its
-        restriction there, with the bits of the whole grid's cells.
+        """Re-express on ``grid``, a strictly increasing array that starts
+        and ends on breaks and holds every break between: the whole domain,
+        or the window of whole segments ``k[0]`` to ``k[-1]``, which gives
+        the restriction to it.
 
         ``k`` is the segment of each grid cell, ``_segment_index(grid[:-1],
         "right")``, as ``common_grid`` returns it (``None`` only when the
@@ -248,17 +248,15 @@ class PLF:
         as long as the breaks); nothing is searched.
 
         Every cell ends on ``yr[k]``, one gather.  Since the grid holds
-        every break, a cell starts a segment exactly where ``k`` steps (or
-        first, when the grid starts on a break), and each segment has one
-        such cell, which starts on ``yl`` in order; the other cells start
-        on an inserted node.  An inserted node is interpolated once, and
-        the value serves both cells that meet there, so the two sides
-        agree bit for bit and refinement never introduces spurious jumps.
-        A window's end inside a rising segment is interpolated alike, so
-        the windows on either side of it agree too.  Only nodes inserted
-        inside rising segments are interpolated; one inserted inside a
-        flat segment takes ``yr`` directly, which is what the pinned
-        interpolation returns there (including the sign of a zero).
+        every break, a cell starts a segment exactly where ``k`` steps, and
+        each segment has one such cell, which starts on ``yl`` in order;
+        the other cells start on an inserted node.  An inserted node is
+        interpolated once, and the value serves both cells that meet
+        there, so the two sides agree bit for bit and refinement never
+        introduces spurious jumps.  Only nodes inserted inside rising
+        segments are interpolated; one inserted inside a flat segment
+        takes ``yr`` directly, which is what the pinned interpolation
+        returns there (including the sign of a zero).
         """
         b = self.breaks
         if k is None or (len(grid) == len(b) and grid[0] == b[0] and grid[-1] == b[-1]):
@@ -268,22 +266,17 @@ class PLF:
             return PLF._trusted(grid, nyr, nyr)
         nyl = nyr.copy()
         step = np.empty(len(k), dtype=bool)
-        step[0] = grid[0] == b[k[0]]
+        step[0] = True
         np.not_equal(k[1:], k[:-1], out=step[1:])
         starts = step.nonzero()[0]
-        top = k[-1] + 1  # past the last segment the grid covers
-        nyl[starts] = self.yl[top - len(starts) : top]  # a boolean-mask store is 3x slower on 10^6 cells
+        # a boolean-mask store is 3x slower on 10^6 cells
+        nyl[starts] = self.yl if len(starts) == len(self.yl) else self.yl[k[0] : k[-1] + 1]
         rising = self.yl[k] != nyr  # per cell, whether its segment rises
         if rising.any():
             # cells whose left node is inserted inside a rising segment;
             # the cell before ends on the same node, inside the same segment
             i = (rising & ~step).nonzero()[0]
             nyl[i] = nyr[i - 1] = self._interp(k[i], grid[i])
-            if grid[-1] != b[-1] or not step[0]:
-                # a window: a first cell inside a segment (i = 0) wrote
-                # nyr[-1] above, and the last cell may end inside one
-                end = grid[-1:]
-                nyr[-1] = self._interp(k[-1:], end)[0] if end[0] < b[top] and rising[-1] else self.yr[top - 1]
         return PLF._trusted(grid, nyl, nyr)
 
     def refine(self, points) -> "PLF":
@@ -765,8 +758,8 @@ def _merged_windows(f: PLF, g: PLF):
     in both arrays is merged in one window, where the first copy (f's)
     stays the node.  A window merges the lead's breaks up to and with its
     right edge, where its last cell ends, and the other's below it; its
-    ``k`` count from the slices' starts, so ``on_grid`` interpolates each
-    node from its segment's own anchors, as on the whole grid."""
+    ``k`` count from the slices' starts, so each node is interpolated from
+    its segment's own anchors, as on the whole grid."""
     fb, gb = f.breaks, g.breaks
     _same_domain(fb, gb)
     f_leads = len(fb) >= len(gb)
@@ -778,8 +771,25 @@ def _merged_windows(f: PLF, g: PLF):
         grid, kf, kg = _merged([a, b] if f_leads else [b, a], 2)
         kf += s if f_leads else o
         kg += o if f_leads else s
-        F, G = f.on_grid(grid, kf), g.on_grid(grid, kg)
-        yield grid, F.yl, F.yr, G.yl, G.yr
+        yield (grid, *_on_window(f, grid, kf), *_on_window(g, grid, kg))
+
+
+def _on_window(h: PLF, grid: np.ndarray, k: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``yl`` and ``yr`` of h on the cells of a window grid.  Where an end
+    of the window lies inside one of h's segments, ``on_grid`` gets the
+    grid extended to that segment's break, so that the end node is an
+    inserted node like any other, and the extra cell is dropped.  A step
+    function needs no extension: its cells take ``yr`` alone."""
+    if h.yl is not h.yr:
+        b, lo, hi = h.breaks, k[0], k[-1] + 1
+        head, tail = int(b[lo] < grid[0]), int(grid[-1] < b[hi])
+        if head or tail:
+            grid = np.concatenate((b[lo : lo + head], grid, b[hi : hi + tail]))
+            k = np.concatenate((k[:head], k, k[len(k) - tail :]))
+            H = h.on_grid(grid, k)
+            return H.yl[head : len(H.yl) - tail], H.yr[head : len(H.yr) - tail]
+    H = h.on_grid(grid, k)
+    return H.yl, H.yr
 
 
 def _in_one_array(parts, n: int) -> np.ndarray:
