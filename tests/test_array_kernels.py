@@ -405,14 +405,14 @@ def _window_edge_pairs(rng: np.random.Generator) -> list[tuple[PLF, PLF]]:
     """Pairs whose merge spans several windows, built around the window
     edges (every ``_GAP_BLOCK``-th break of the function with more)."""
     m = _GAP_BLOCK
-    # dyadic lead on [0, 1] with edges at 1/4, 1/2 and 3/4; the other has
-    # ties on both sides of each edge, the edges themselves and a break off
-    # the lead, so edges that are and are not the other's breaks both occur
+    # dyadic lead on [0, 1] with edges at 1/4, 1/2 and 3/4; the other
+    # holds each edge, the lead's breaks on both sides of it and a break
+    # off the lead (the last pair's edges are not the other's breaks)
     lead = np.arange(4 * m + 1) / (4 * m)
     ties = np.array([j * m + d for j in (1, 2, 3) for d in (-1, 0, 1)])
     tied = np.sort(np.concatenate([[0.0, 0.5 + 2.0**-20, 1.0], lead[ties]]))
     # on [-1, 1] the middle edge is 0.0, and the other holds -0.0 there: the
-    # node keeps f's copy whichever function leads
+    # node keeps f's copy in either argument order
     signed = np.arange(2 * m + 1) / m - 1.0
     zero = np.array([-1.0, -(2.0**-15), -0.0, 2.0**-15, 1.0])
     # a rising segment of the other spans every edge, so each edge node of
