@@ -563,8 +563,9 @@ def _with_crossings(f: PLF, g: PLF) -> tuple[PLF, PLF]:
     if np.any(hit):
         a = F.breaks[:-1][hit]
         w = np.diff(F.breaks)[hit]
-        # a crossing that rounds past the top break stays in the domain
-        tau = np.minimum(a + w * (dl[hit] / (dl[hit] - dr[hit])), F.breaks[-1])
+        # a crossing that rounds past its cell's right end stays in its
+        # cell: on that end it adds no node
+        tau = np.minimum(a + w * (dl[hit] / (dl[hit] - dr[hit])), F.breaks[1:][hit])
         grid, kf, kg = common_grid(f, g, points=[tau])
         F, G = f.on_grid(grid, kf), g.on_grid(grid, kg)
     return F, G
