@@ -251,9 +251,9 @@ def _blend_of_values(grid: np.ndarray, fns: list[PLF], coeffs) -> PLF:
 @given(plf_pairs(), st.data())
 def test_combine_matches_the_union_grid(pair, data):
     """The blend of one to three functions on shared, subset or free
-    breaks, some from -0.0, and the refinement of the first at drawn
-    points, are their own values on the union grid; signed coefficients
-    either blend to a monotone result or raise in both."""
+    breaks, some from -0.0, is their own values on the union grid;
+    signed coefficients either blend to a monotone result or raise in
+    both."""
     fns = [*pair, data.draw(plfs())][: data.draw(st.integers(1, 3))]
     fns = [_maybe_negative_zero_bottom(data.draw, h) for h in fns]
     coeffs = data.draw(st.lists(st.one_of(st.sampled_from([0.0, -0.0, 0.5, 1.0, -1.0]), st.floats(-2.0, 2.0)),
@@ -271,8 +271,14 @@ def test_combine_matches_the_union_grid(pair, data):
     else:
         assert all(same_bits(k, _searched_indices(h, grid)) for h, k in zip(fns, ks))
 
+
+@settings(max_examples=100, deadline=None)
+@given(plfs(), st.data())
+def test_refine_matches_the_union_grid(f, data):
+    """A refinement at drawn points, and a restriction to their span, are
+    the function's own values on the union of its breaks and the points."""
     # unsorted points with duplicates, shared breaks and both zeros
-    f = fns[0]
+    f = _maybe_negative_zero_bottom(data.draw, f)
     pts = np.array(data.draw(st.lists(st.one_of(_POINTS, st.sampled_from(f.breaks.tolist())), max_size=12)), dtype=np.float64)
     r = f.refine(pts)
     assert is_merged_grid(r.breaks, f.breaks, pts) and _on_its_values(r, f)
