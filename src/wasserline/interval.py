@@ -25,7 +25,7 @@ from .errors import (
 )
 from .measures import Domain, Measure, _common_domain, _require_unit, dist_to_dirac, from_atoms
 from .metric import check_order
-from .plf import PLF, _power_cells, abs_pow_gap, plf_combine
+from .plf import PLF, _as_floats, _power_cells, abs_pow_gap, plf_combine
 
 _MAX_LADDER = 20  # 2^20 atoms is already far beyond any sane use
 _EPS = float(np.finfo(float).eps)
@@ -81,7 +81,7 @@ def qn_elements(n: int) -> list[Measure]:
 
 def mn_element(positions) -> Measure:
     """Equal-weight measure on sorted positions in [0, 1]."""
-    pos = np.asarray(positions, dtype=np.float64).ravel()
+    pos = _as_floats(positions, "positions").ravel()
     if pos.size == 0:
         raise InvalidInput("need at least one position")
     if np.any(np.diff(pos) < 0.0):

@@ -22,7 +22,13 @@ step functions, with one array for ``yl`` and ``yr`` (see ``plf``).
 Maps whose rounding can make two segments collinear (value maps,
 blends, reflections) keep ``Measure(...)``'s ``canonical``, on a
 ``PLF`` that is not validated again; ``flip`` builds ``Measure(...)``
-on the validated pads of ``padded_inverse``.
+on ``padded_inverse``, whose pads ``const_plf`` validates.  Of a
+discrete measure, ``padded_inverse`` is a step function (the inverse's
+closed form between constant pads, in one array), on which
+``canonical`` returns after one compare, so the flipped measure is
+discrete and its own distances, flips and CDFs take the step path.
+``cdf_eval`` evaluates the quantile's inverse; of a discrete measure
+that is the same closed form, evaluated by a gather.
 ``DiscreteMeasure.from_measure`` reads a discrete measure's atoms as they
 are, sorted and distinct, and only normalizes their masses.
 
@@ -59,7 +65,7 @@ from .errors import (
     WeightSumOutOfTolerance,
     _malformed,
 )
-from .plf import PLF, _without_empty_cells, abs_pow_gap, const_plf
+from .plf import PLF, _as_floats, _without_empty_cells, abs_pow_gap, const_plf
 
 WEIGHT_TOL = 1e-9
 # slack for values that should sit in [0, 1] but picked up rounding noise
@@ -169,8 +175,8 @@ class DiscreteMeasure:
     weights: np.ndarray
 
     def __post_init__(self) -> None:
-        pos = np.asarray(self.positions, dtype=np.float64).ravel()
-        w = np.asarray(self.weights, dtype=np.float64).ravel()
+        pos = _as_floats(self.positions, "atom positions").ravel()
+        w = _as_floats(self.weights, "atom weights").ravel()
         if len(pos) != len(w) or len(pos) == 0:
             raise InvalidInput("need matching nonempty position/weight arrays")
         if not np.isfinite(pos).all():
@@ -267,10 +273,14 @@ def from_atoms(atoms, domain: Domain = Domain.REAL_LINE) -> Measure:
     Atoms are sorted, exact duplicate positions merged, weights
     normalized (their sum must be within 1e-9 of one).
     """
-    pairs = list(atoms)
+    try:
+        pairs = list(atoms)
+        pos, w = [p for p, _ in pairs], [w for _, w in pairs]
+    except (TypeError, ValueError) as exc:
+        raise InvalidInput(f"atoms must be (position, weight) pairs: {exc}") from exc
     if not pairs:
         raise NonPositiveWeight("a measure needs at least one atom")
-    d = DiscreteMeasure([p for p, _ in pairs], [w for _, w in pairs])
+    d = DiscreteMeasure(pos, w)
     return _atoms_measure(d.positions, d.weights, domain)
 
 
@@ -298,7 +308,7 @@ def _atoms_measure(pos: np.ndarray, w: np.ndarray, domain: Domain) -> Measure:
 
 def quantile_eval(mu: Measure, y):
     """Right-continuous quantile at interior levels 0 < y < 1."""
-    arr = np.asarray(y, dtype=np.float64)
+    arr = _as_floats(y, "quantile levels")
     if not np.all((arr > 0.0) & (arr < 1.0)):  # NaN fails too
         raise LevelOutOfRange("quantile levels must lie strictly inside (0, 1)")
     return mu.quantile.eval(y)
@@ -306,7 +316,7 @@ def quantile_eval(mu: Measure, y):
 
 def cdf_eval(mu: Measure, x):
     """F(x) = mu((-inf, x]); vectorized."""
-    arr = np.asarray(x, dtype=np.float64)
+    arr = _as_floats(x, "evaluation points")
     if np.any(np.isnan(arr)):
         raise InvalidInput("evaluation point is NaN")
     lo, hi = mu.quantile.value_range

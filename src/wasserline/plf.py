@@ -22,7 +22,8 @@ Every ``PLF`` array is read-only.  ``PLF(...)`` validates and copies;
 monotone by construction: ``on_grid`` (each cell ends on its segment's
 ``yr``, a cell that starts a segment starts on its ``yl``, and every
 other node is pinned in its segment), ``restrict``/``canonical`` (parts
-of a valid function), ``inverse`` (after its tiling check),
+of a valid function), ``inverse`` (after its tiling check, or of a step
+function, whose runs tile the range by construction),
 ``minimum``/``maximum`` (pointwise extremes of monotone nodes),
 ``concat_plfs`` (after its seam checks), the M_n element that
 ``interval.mn_element`` builds after its checks and
@@ -47,20 +48,35 @@ blend (geodesic extrapolation) may decrease: ``_repair_monotone``
 flattens rounding noise and ``PLF(...)`` validates the result.
 
 A step function (every cell flat, as the quantile of a discrete measure)
-is a PLF whose ``yl`` and ``yr`` are one array object.  The discrete
-constructors make one: ``measures.from_atoms`` and
-``DiscreteMeasure.to_measure``, and the M_n elements of ``interval``
-(``mn_element``'s and ``nearest_in_mn``'s).  ``PLF._trusted``,
-``on_grid`` (one gather serves both sides) and ``_without_empty_cells``
-keep the sharing, and the distance path reads it: on two step functions
-``abs_pow_gap`` takes one difference for both ends of its cells,
-``abs_pow_cells``/``_power_cells`` given ``b is a`` compute the flat
-formula alone, and ``Measure.is_discrete`` holds at once.  Every other
-operation builds two arrays; equal arrays still hold equal values, so
-only the cheap path is lost.  No bit moves: the general ``on_grid``
-computes a ``yl`` equal to ``yr`` bit for bit on a step function, the
-differences at both ends are then equal, and d = 0 sends every cell to
-that formula.
+is a PLF whose ``yl`` and ``yr`` are one array object.
+
+- *Made* by ``PLF(...)`` and ``PLF._trusted`` given one array for both
+  sides (``PLF(...)`` validates it and stores one copy), so by
+  ``const_plf``; by the discrete constructors ``measures.from_atoms``
+  and ``DiscreteMeasure.to_measure``; by the M_n elements of
+  ``interval`` (``mn_element``'s and ``nearest_in_mn``'s); and by the
+  ``inverse`` of a step function, so ``padded_inverse`` and
+  ``measures.flip`` of a discrete measure give one.
+- *Kept* by ``on_grid`` (one gather serves both sides),
+  ``_without_empty_cells``, ``concat_plfs`` when every piece is one, and
+  ``canonical`` when no two neighbours are equal (it returns ``self``).
+  A merged run builds two arrays, since a run of zeros of both signs
+  keeps -0.0 on the left and 0.0 on the right.
+- *Read* by ``inverse`` (its closed form, with no interleaving and no
+  tiling check), ``eval`` (a gather, with no interpolation),
+  ``canonical`` (one compare of neighbours), ``abs_pow_gap`` on two step
+  functions (one difference for both ends of its cells),
+  ``abs_pow_cells``/``_power_cells`` given ``b is a`` (the flat formula
+  alone) and ``Measure.is_discrete`` (it holds at once).
+
+Every other operation builds two arrays; equal arrays still hold equal
+values, so only the cheap path is lost.  No bit moves: on a step
+function the general ``on_grid`` computes a ``yl`` equal to ``yr`` bit
+for bit, the differences at both ends are then equal and d = 0 sends
+every cell to the flat formula; the interleaved inverse picks the
+floats of the closed form; the pinned interpolation of a flat cell
+returns its value, zero sign included; and the general ``canonical``
+merges exactly the equal neighbours.
 
 Each numeric idea has one private home: ``_nodes`` (the values in level
 order), ``_envelope`` (min or max of a pair from ``_with_crossings``),
@@ -103,8 +119,17 @@ _SORTED_SEARCH_MIN = 2048
 _GAP_BLOCK = 2**14
 
 
+def _as_floats(x, what: str) -> np.ndarray:
+    """``x`` as a float64 array; an entry that is not a number raises
+    ``InvalidInput`` naming ``what``, as a builtin error would not."""
+    try:
+        return np.asarray(x, dtype=np.float64)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise InvalidInput(f"{what} must be numbers: {exc}") from exc
+
+
 def _as_float_array(x) -> np.ndarray:
-    a = np.asarray(x, dtype=np.float64)
+    a = _as_floats(x, "PLF arrays")
     if a.ndim != 1:
         raise InvalidInput("expected a one-dimensional array")
     return a
@@ -119,18 +144,24 @@ class PLF:
     yr: np.ndarray
 
     def __post_init__(self) -> None:
+        step = self.yl is self.yr
         breaks = _as_float_array(self.breaks)
         yl = _as_float_array(self.yl)
-        yr = _as_float_array(self.yr)
+        yr = yl if step else _as_float_array(self.yr)
         if len(breaks) != len(yl) + 1 or len(yl) != len(yr):
             raise InvalidInput("segment arrays do not match the break count")
         if len(yl) == 0:
             raise InvalidInput("a PLF needs at least one segment")
         # every entry takes part in one of these comparisons and a NaN fails
         # it, and in increasing order only an end can be infinite, so the
-        # full finiteness scan runs only to name the fault
+        # full finiteness scan runs only to name the fault; one array for
+        # both sides has only its neighbours to compare
         rising = (breaks[1:] > breaks[:-1]).all()
-        if not (rising and (yr >= yl).all() and (yl[1:] >= yr[:-1]).all()):
+        if step:
+            monotone = (yl[1:] >= yl[:-1]).all()
+        else:
+            monotone = (yr >= yl).all() and (yl[1:] >= yr[:-1]).all()
+        if not (rising and monotone):
             for a in (breaks, yl, yr):
                 if not np.isfinite(a).all():
                     raise InvalidInput("non-finite entry in a PLF array")
@@ -139,10 +170,10 @@ class PLF:
             raise NotMonotone("segment values must be nondecreasing")
         if not all(map(math.isfinite, (breaks[0], breaks[-1], yl[0], yr[-1]))):
             raise InvalidInput("non-finite entry in a PLF array")
-        for name, a in (("breaks", breaks), ("yl", yl), ("yr", yr)):
-            a = a.copy()
+        yl = yl.copy()
+        self.__dict__.update(breaks=breaks.copy(), yl=yl, yr=yl if step else yr.copy())
+        for a in self.__dict__.values():
             a.setflags(write=False)
-            object.__setattr__(self, name, a)
 
     @classmethod
     def _trusted(cls, breaks: np.ndarray, yl: np.ndarray, yr: np.ndarray) -> "PLF":
@@ -216,9 +247,12 @@ class PLF:
         if not np.all((arr >= lo) & (arr <= hi)):  # NaN fails too
             raise InvalidInput("evaluation point outside the domain")
         k = self._segment_index(arr, "right")
-        v = self._interp(k, arr)
-        v = np.where(arr == self.breaks[k], self.yl[k], v)
-        v = np.where(arr == hi, self.yr[-1], v)
+        if self.yl is self.yr:  # every cell is flat, the top one included
+            v = self.yl[k]
+        else:
+            v = self._interp(k, arr)
+            v = np.where(arr == self.breaks[k], self.yl[k], v)
+            v = np.where(arr == hi, self.yr[-1], v)
         return v if arr.ndim else float(v)
 
     def left_limit(self, y):
@@ -369,9 +403,21 @@ class PLF:
         Interleaving the value nodes ``yl[0], yr[0], yl[1], ...`` with the
         level nodes ``b[0], b[1], b[1], b[2], ...`` turns every segment and
         every junction into one slot; the rising slots are the pieces.
+
+        A step function rises only at its junctions: with ``j`` the cells
+        whose next value is higher, its inverse is the step function on
+        the breaks ``y[j]`` and ``y[j[-1] + 1]`` with the levels
+        ``b[j + 1]``.  These are the floats that the interleaved slots
+        pick, zero signs included, and the runs tile the range by
+        construction, so there is nothing to check.
         """
         if self.yl[0] == self.yr[-1]:
             raise InvalidInput("a constant function has a degenerate inverse")
+        if self.yl is self.yr:
+            y = self.yl
+            j = np.flatnonzero(y[1:] != y[:-1])
+            levels = self.breaks[j + 1]
+            return PLF._trusted(np.append(y[j], y[j[-1] + 1]), levels, levels)
         nodes = _nodes(self.yl, self.yr)
         levels = np.repeat(self.breaks, 2)[1:-1]
         k = np.flatnonzero(nodes[1:] != nodes[:-1])
@@ -416,6 +462,9 @@ class PLF:
         """
         if self.num_segments == 1:
             return self
+        # a step function merges exactly its equal neighbours
+        if self.yl is self.yr and (self.yl[1:] != self.yl[:-1]).all():
+            return self
         w = np.diff(self.breaks)
         dy = self.yr - self.yl
         cont = self.yr[:-1] == self.yl[1:]
@@ -440,11 +489,13 @@ class PLF:
 
 
 def const_plf(lo: float, hi: float, value: float) -> PLF:
-    return PLF(np.array([lo, hi]), np.array([value]), np.array([value]))
+    v = np.array([value])
+    return PLF(np.array([lo, hi]), v, v)
 
 
 def concat_plfs(pieces: list[PLF]) -> PLF:
-    """Join PLFs with contiguous domains into one; seams must be monotone."""
+    """Join PLFs with contiguous domains into one; seams must be monotone.
+    Step functions join into one."""
     if not pieces:
         raise InvalidInput("nothing to concatenate")
     breaks = [pieces[0].breaks]
@@ -454,11 +505,9 @@ def concat_plfs(pieces: list[PLF]) -> PLF:
         if not prev.yr[-1] <= nxt.yl[0]:
             raise NotMonotone("pieces decrease across a seam")
         breaks.append(nxt.breaks[1:])
-    return PLF._trusted(
-        np.concatenate(breaks),
-        np.concatenate([p.yl for p in pieces]),
-        np.concatenate([p.yr for p in pieces]),
-    )
+    yl = np.concatenate([p.yl for p in pieces])
+    step = all(p.yl is p.yr for p in pieces)
+    return PLF._trusted(np.concatenate(breaks), yl, yl if step else np.concatenate([p.yr for p in pieces]))
 
 
 def _without_empty_cells(breaks: np.ndarray, yl: np.ndarray, yr: np.ndarray) -> PLF:

@@ -16,8 +16,11 @@ midpoint.  The conftest fixture validates every ``PLF._trusted`` result.
 Oracles, kept verbatim in ``reference_kernels``: the searched common grid
 (the ``k`` of ``common_grid``, large merged pairs, the sorted/direct
 search), the tuple-path constructors and the loop inverse on large arrays
-and signed-zero ties, the step/general and one-pass/windowed
-differentials (no old body), and the power cells at p not in {1, 2} and
+and signed-zero ties, the step/general differentials of the grid, the
+distances, the inverse, ``eval``, ``canonical``, ``concat_plfs``,
+``cdf_eval`` and ``flip`` and the one-pass/windowed one (no old body),
+SHA-256 pins of multi-window distances and of a 10^5-atom flip and CDF,
+and the power cells at p not in {1, 2} and
 the M_n projection by bisection, which stay until those kernels change
 on purpose.  W1 and p = 2 cells are checked against mpmath at 50 digits,
 zero, signed-zero, crossing and 2-D broadcast cells included, and the
@@ -54,9 +57,11 @@ from wasserline import (
     apply,
     abs_pow_gap,
     cdf_eval,
+    concat_plfs,
     const_plf,
     convex_hull_combination,
     dirac_certificate,
+    flip,
     from_atoms,
     midpoint_geometry,
     mn_element,
@@ -415,6 +420,25 @@ def test_large_merged_distances_are_bit_stable():
     assert h.hexdigest() == LARGE_MERGED_SHA256
 
 
+# SHA-256 of flip(u)'s breaks, yl and yr and of cdf_eval(u, points), for a
+# 10^5-atom Dirichlet-weighted unit measure built from tuples, as the
+# large-empirical benchmark builds it
+LARGE_FLIP_CDF_SHA256 = "3f8ed1ba87430c9254b4aa0761857be630f65506d69fdfc93cf7fe0daaf32a26"
+
+
+def test_large_flip_and_cdf_are_bit_stable():
+    """An inverse of 10^5 cells, pinned: the seed-0 suites invert none so large."""
+    rng = np.random.default_rng(20200227)
+    pos = np.unique(rng.uniform(0.0, 1.0, 10**5))
+    u = from_atoms(zip(pos, rng.dirichlet(np.ones(len(pos)))), Domain.UNIT_INTERVAL)
+    points = rng.uniform(-0.05, 1.05, 10**5)
+    f = flip(u).quantile
+    h = hashlib.sha256()
+    for a in (f.breaks, f.yl, f.yr, cdf_eval(u, points)):
+        h.update(a.tobytes())
+    assert h.hexdigest() == LARGE_FLIP_CDF_SHA256
+
+
 def _gap_in_one_pass(f: PLF, g: PLF, p: float) -> float:
     F, G = on_common_grid(f, g)
     return float(np.sum(abs_pow_cells(np.diff(F.breaks), F.yl - G.yl, F.yr - G.yr, p)))
@@ -516,10 +540,11 @@ def test_merged_windows_are_slices_of_the_whole_grid():
 
 
 def _separate(mu: Measure) -> Measure:
-    """``mu`` with ``yl`` and ``yr`` as two arrays (the validating ``PLF``
-    copies each), which takes the general path of the grid and the kernel."""
+    """``mu`` with ``yl`` and ``yr`` as two arrays, which takes the general
+    path of the grid and the kernel.  The validating ``PLF`` keeps one
+    array given as both sides, so ``yr`` goes in as a copy."""
     q = mu.quantile
-    nu = Measure(mu.domain, PLF(q.breaks, q.yl, q.yr))
+    nu = Measure(mu.domain, PLF(q.breaks, q.yl, q.yr.copy()))
     assert nu.quantile.yl is not nu.quantile.yr
     return nu
 
@@ -628,6 +653,121 @@ def test_a_merged_run_of_signed_zeros_keeps_both_ends(shared):
     got = Measure(Domain.REAL_LINE, q).quantile
     assert got.yl is not got.yr
     assert same_bits(got.yl, np.array([-0.0])) and same_bits(got.yr, np.array([0.0]))
+
+
+@st.composite
+def step_plfs(draw) -> tuple[PLF, PLF]:
+    """A step function on [0, 1] with runs of equal values, zeros of both
+    signs and constants, as one array for both sides and as two."""
+    f = draw(plfs())
+    return PLF(f.breaks, f.yl, f.yl), PLF(f.breaks, f.yl, f.yl.copy())
+
+
+def _same_outcome(fn, *args) -> bool:
+    """``fn`` of both functions gives the same bits, or the same error."""
+    got = [_outcome(fn, a) for a in args]
+    if isinstance(got[0], type):
+        return all(g is got[0] for g in got)
+    return all(same_plf(g, got[0]) if isinstance(g, PLF) else same_bits(g, got[0]) for g in got)
+
+
+@settings(max_examples=200, deadline=None)
+@given(step_plfs())
+def test_step_inverse_matches_the_interleaved_one(pair):
+    step, two = pair
+    assert step.yl is step.yr and two.yl is not two.yr
+    assert _same_outcome(PLF.inverse, step, two)
+    if step.yl[0] != step.yr[-1]:
+        inv = step.inverse()
+        assert inv.yl is inv.yr and two.inverse().yl is not two.inverse().yr
+
+
+@settings(max_examples=200, deadline=None)
+@given(step_plfs(), st.sampled_from([0.0, 0.5, 2.0]), st.sampled_from([0.0, 0.25, 3.0]))
+def test_step_padded_inverse_matches_the_general_one(pair, below, above):
+    step, two = pair
+    v0, v1 = step.value_range
+    lo, hi = v0 - below, v1 + above
+    if lo == hi:  # a constant needs a pad
+        hi = v1 + 1.0
+    got, want = step.padded_inverse(lo, hi), two.padded_inverse(lo, hi)
+    assert same_plf(got, want)
+    # a constant's window is its two pads, step functions either way
+    assert got.yl is got.yr and (want.yl is not want.yr) == (v0 < v1)
+
+
+@settings(max_examples=200, deadline=None)
+@given(step_plfs(), st.lists(st.floats(0.0, 1.0), max_size=6))
+def test_step_eval_matches_the_interpolated_one(pair, drawn):
+    step, two = pair
+    b = step.breaks
+    # every break, the top one included, and the middle of every cell,
+    # some of them inside flats at -0.0 or 0.0
+    points = np.concatenate([b, 0.5 * (b[:-1] + b[1:]), drawn])
+    assert same_bits(step.eval(points), two.eval(points))
+    for t in points:
+        assert same_bits(step.eval(float(t)), two.eval(float(t)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(step_plfs())
+def test_step_canonical_matches_the_general_one(pair):
+    step, two = pair
+    got = step.canonical()
+    assert same_plf(got, two.canonical())
+    # no equal neighbours: nothing merges; a merged run keeps both ends,
+    # as two arrays (test_a_merged_run_of_signed_zeros_keeps_both_ends)
+    assert (got is step) == bool((step.yl[1:] != step.yl[:-1]).all())
+
+
+@settings(max_examples=200, deadline=None)
+@given(step_plfs(), st.data())
+def test_concatenated_step_functions_keep_one_array(pair, data):
+    step, _ = pair
+    m = step.num_segments
+    cuts = sorted(set(data.draw(st.lists(st.integers(1, m), max_size=3))) | {0, m})
+    shared = [data.draw(st.booleans()) for _ in cuts[1:]]
+    pieces, separate = [], []
+    for (i, j), one in zip(zip(cuts, cuts[1:]), shared):
+        v = step.yl[i:j]
+        pieces.append(PLF(step.breaks[i : j + 1], v, v if one else v.copy()))
+        separate.append(PLF(step.breaks[i : j + 1], v, v.copy()))
+    got = concat_plfs(pieces)
+    assert same_plf(got, concat_plfs(separate)) and same_plf(got, step)
+    assert (got.yl is got.yr) == all(shared)
+
+
+@st.composite
+def discrete_unit_measures(draw) -> Measure:
+    """Discrete measures on [0, 1], Diracs and atoms at -0.0, 0 and 1 among them."""
+    pos = draw(st.lists(st.one_of(st.sampled_from([0.0, -0.0, 1.0, 0.5, 0.25]), st.floats(0.0, 1.0)),
+                        min_size=1, max_size=20))
+    raw = np.array(draw(st.lists(st.floats(1e-3, 1.0), min_size=len(pos), max_size=len(pos))))
+    return DiscreteMeasure(np.array(pos), raw / raw.sum()).to_measure(Domain.UNIT_INTERVAL)
+
+
+@settings(max_examples=200, deadline=None)
+@given(discrete_unit_measures(), st.lists(st.floats(-0.5, 1.5), max_size=6))
+def test_flip_and_cdf_of_a_discrete_measure_match_the_general_path(mu, drawn):
+    nu = _separate(mu)
+    f = flip(mu)
+    assert same_measure(f, flip(nu))
+    assert f.quantile.yl is f.quantile.yr and flip(nu).quantile.yl is not flip(nu).quantile.yr
+    # a flipped discrete measure is discrete: its own flip and distances
+    # take the step path too
+    assert same_measure(flip(f), flip(_separate(f)))
+    a = mu.quantile.yl
+    points = np.concatenate([a, np.nextafter(a, -np.inf), np.nextafter(a, np.inf), [-0.0, 0.0, 1.0], drawn])
+    assert same_bits(cdf_eval(mu, points), cdf_eval(nu, points))
+
+
+def test_flip_of_a_mixed_measure_keeps_two_arrays():
+    rng = np.random.default_rng(20200227)
+    for _ in range(20):
+        mu = sampling.random_unit_measure(rng)
+        if not mu.is_discrete:
+            q = flip(mu).quantile
+            assert q.yl is not q.yr
 
 
 def _three_array_equality(f: PLF, g: PLF) -> bool:

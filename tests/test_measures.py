@@ -309,6 +309,8 @@ def test_quantile_level_gates():
 @settings(max_examples=60, deadline=None)
 @given(st.integers(0, 2**32 - 1))
 @example(28)
+@example(1892)
+@example(9238)
 def test_quantile_cdf_galois_correspondence(seed):
     rng = np.random.default_rng(seed)
     mu = sampling.random_discrete_measure(rng) if seed % 2 else sampling.random_real_measure(rng)
@@ -325,7 +327,10 @@ def test_quantile_cdf_galois_correspondence(seed):
         assert cdf_eval(mu, np.nextafter(q_u, np.inf)) >= u - 1e-13
         fx = cdf_eval(mu, x)
         if 0.0 < fx < 1.0:
-            assert quantile_eval(mu, fx) >= x - 1e-13 * scale
+            # fx is rounded to a double too, and on a steep quantile half an
+            # ulp of level is worth more than 1e-13: the bound holds one ulp up
+            up = np.nextafter(fx, 1.0)
+            assert quantile_eval(mu, up if up < 1.0 else fx) >= x - 1e-13 * scale
         # the two-sided adjunction, checked away from degenerate margins
         if abs(q_u - x) > 1e-9 * scale and abs(u - fx) > 1e-9:
             assert (q_u <= x) == (u <= fx)

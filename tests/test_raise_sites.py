@@ -36,6 +36,7 @@ from wasserline import (
     Translation,
     TwoPointParam,
     WasserlineError,
+    cdf_eval,
     cdf_from_dirac_distances,
     concat_plfs,
     dirac_certificate,
@@ -53,6 +54,7 @@ from wasserline import (
     plf_splice,
     pushforward_affine,
     qn_elements,
+    quantile_eval,
     slice_of,
 )
 from conftest import dirac, uniform01
@@ -66,6 +68,7 @@ SITES = [
     ("slice_of-real", lambda: slice_of(dirac(0.5)), DomainMismatch, "unit-interval measures"),
     ("qn_elements-13", lambda: qn_elements(13), InvalidInput, "more than 4096"),
     ("mn_element-empty", lambda: mn_element([]), InvalidInput, "at least one position"),
+    ("mn_element-text", lambda: mn_element(["a"]), InvalidInput, "positions must be numbers"),
     ("nearest_in_mn-p1", lambda: nearest_in_mn(uniform01(), 1, 1.0), InvalidP, "needs p > 1"),
     # isometries
     ("translation-unit", lambda: Translation(dirac(0.5, _UNIT)), ScopeMismatch, "real line"),
@@ -74,6 +77,12 @@ SITES = [
     ("exotic_apply_grid-unit", lambda: exotic_apply_grid(uniform01(), 0.5, 8), ScopeMismatch, "real-line"),
     # measures
     ("discrete-mismatched", lambda: DiscreteMeasure([0.0, 1.0], [1.0]), InvalidInput, "matching nonempty"),
+    ("discrete-text", lambda: DiscreteMeasure(["a"], [1.0]), InvalidInput, "atom positions must be numbers"),
+    ("from_atoms-triple", lambda: from_atoms([(1.0, 0.5, 3.0)]), InvalidInput, "(position, weight) pairs"),
+    ("from_atoms-text", lambda: from_atoms([("a", 1.0)]), InvalidInput, "atom positions must be numbers"),
+    ("from_atoms-int", lambda: from_atoms(5), InvalidInput, "(position, weight) pairs"),
+    ("cdf_eval-text", lambda: cdf_eval(uniform01(), "x"), InvalidInput, "evaluation points must be numbers"),
+    ("quantile_eval-text", lambda: quantile_eval(uniform01(), "x"), InvalidInput, "quantile levels must be numbers"),
     ("from_segments-count", lambda: from_segments(Domain.REAL_LINE, [0.0, 1.0], [[0.0, 1.0], [1.0, 1.0]]),
      InvalidInput, "one (value, slope) pair"),
     ("pushforward-orientation", lambda: pushforward_affine(dirac(0.0), 2, 0.0), InvalidInput, "+1 or -1"),
@@ -98,6 +107,7 @@ SITES = [
     # plf
     ("plf-2d", lambda: PLF(np.zeros((2, 2)), np.zeros(1), np.zeros(1)), InvalidInput, "one-dimensional"),
     ("plf-mismatched", lambda: PLF([0.0, 1.0, 2.0], [0.0], [1.0]), InvalidInput, "break count"),
+    ("plf-text", lambda: PLF(["a", "b"], [0.0], [1.0]), InvalidInput, "PLF arrays must be numbers"),
     ("plf-no-segment", lambda: PLF([0.0], [], []), InvalidInput, "at least one segment"),
     ("restrict-outside", lambda: _F.restrict(0.5, 2.0), InvalidInput, "inside the domain"),
     ("map_values-negative", lambda: _F.map_values(-1.0, 0.0), InvalidInput, "negative scale"),
