@@ -36,7 +36,7 @@ from .measures import (
     pushforward_affine,
 )
 from .metric import check_order, wasserstein_distance
-from .plf import PLF, _without_empty_cells, concat_plfs, plf_combine
+from .plf import PLF, _clipped, _without_empty_cells, concat_plfs, plf_combine
 from .reports import VerificationReport, _check_trials, row, summarize
 from .sampling import random_discrete_measure, rng_for
 
@@ -228,12 +228,11 @@ class SplitEmbedding(_Descriptor):
         q = self._in_scope(mu).quantile
         # a level cell narrower than an ulp of its image band rounds to zero
         # width under x -> x/3 or x -> (x + 2)/3 and is dropped
-        low = q.minimum(0.0)
+        low, high = _clipped(q, 0.0)
         lowb = low.breaks / 3.0
         lowb[0] = 0.0
         lowb[-1] = _THIRD
         low_piece = _without_empty_cells(lowb, 3.0 * low.yl - 1.0, 3.0 * low.yr - 1.0)
-        high = q.maximum(0.0)
         highb = (high.breaks + 2.0) / 3.0
         highb[0] = _TWO_THIRDS
         highb[-1] = 1.0

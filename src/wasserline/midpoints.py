@@ -33,7 +33,7 @@ import numpy as np
 from .errors import EqualEndpoints, InvalidInput, NotBisectable, NotMonotone, ScopeMismatch
 from .measures import Domain, Measure, _common_domain
 from .metric import geodesic_point, wasserstein_distance
-from .plf import PLF, _envelope, _nodes, _with_crossings, _without_empty_cells, abs_pow_cells
+from .plf import PLF, _clipped, _envelope, _nodes, _with_crossings, _without_empty_cells, abs_pow_cells
 from .plf import common_grid, on_common_grid, plf_splice
 
 
@@ -140,10 +140,8 @@ def midpoint_geometry(mu: Measure, nu: Measure) -> MidpointGeometry:
     crossed = _with_crossings(mu.quantile, nu.quantile)
     h = _half_area_point(*crossed)
     q_lo, q_hi = _envelope(*crossed, np.minimum), _envelope(*crossed, np.maximum)
-    lo_v = q_lo.minimum(v)
-    hi_v = q_hi.minimum(v)
-    lo_cap = q_lo.maximum(v)
-    hi_cap = q_hi.maximum(v)
+    lo_v, lo_cap = _clipped(q_lo, v)
+    hi_v, hi_cap = _clipped(q_hi, v)
     a1 = hi_v.integral(0.0, h) - lo_v.integral(0.0, h)
     a2 = hi_cap.integral(0.0, h) - lo_cap.integral(0.0, h)
     a3 = hi_cap.integral(h, 1.0) - lo_cap.integral(h, 1.0)
@@ -320,6 +318,10 @@ def dirac_certificate(eta: Measure, n: float) -> tuple[Measure, Measure] | None:
     w_A, w_B caps n at 2 (B - A) min(w_A, w_B)), so certificates die out
     beyond roughly twice the support diameter.
 
+    The atom, or the junction level, moves at least one ulp each way, so
+    below the float spacing the pair is adjacent at the nearest distance
+    the floats allow, which exceeds n.
+
     The certificates live on the real line, where a shifted atom may
     leave [0, 1]; a unit-interval eta raises ScopeMismatch.
     """
@@ -344,12 +346,11 @@ def dirac_certificate(eta: Measure, n: float) -> tuple[Measure, Measure] | None:
             continue
         if 2.0 * weight * gap >= n:
             s = min(n / (2.0 * weight), gap)
-            # a shift by a whole gap can round past the neighbouring atom
-            down = value - s if k == 0 else max(value - s, float(yr[k - 1]))
-            up = value + s if k == m - 1 else min(value + s, float(yl[k + 1]))
-            lo = Measure(Domain.REAL_LINE, PLF(breaks, _patched(yl, k, down), _patched(yr, k, down)))
-            hi = Measure(Domain.REAL_LINE, PLF(breaks, _patched(yl, k, up), _patched(yr, k, up)))
-            return lo, hi
+            # at least one ulp each way; a shift by a whole gap can round
+            # past the neighbouring atom
+            ends = (max(min(value - s, math.nextafter(value, -math.inf)), float(yr[k - 1]) if k else -math.inf),
+                    min(max(value + s, math.nextafter(value, math.inf)), float(yl[k + 1]) if k < m - 1 else math.inf))
+            return tuple(Measure(Domain.REAL_LINE, PLF(breaks, _patched(yl, k, x), _patched(yr, k, x))) for x in ends)
     # horizontal type: shift the level of one support gap
     for k in range(m - 1):
         A, B = float(yr[k]), float(yl[k + 1])
@@ -363,10 +364,8 @@ def dirac_certificate(eta: Measure, n: float) -> tuple[Measure, Measure] | None:
         if 2.0 * (B - A) * cap >= n:
             d = min(n / (2.0 * (B - A)), cap)
             c = float(breaks[k + 1])
-            return (
-                Measure(Domain.REAL_LINE, _with_junction_level(q, k, c - d)),
-                Measure(Domain.REAL_LINE, _with_junction_level(q, k, c + d)),
-            )
+            levels = (min(c - d, math.nextafter(c, -math.inf)), max(c + d, math.nextafter(c, math.inf)))
+            return tuple(Measure(Domain.REAL_LINE, _with_junction_level(q, k, x)) for x in levels)
     return None
 
 

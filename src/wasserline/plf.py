@@ -50,25 +50,25 @@ flattens rounding noise and ``PLF(...)`` validates the result.
 A step function (every cell flat, as the quantile of a discrete measure)
 is a PLF whose ``yl`` and ``yr`` are one array object.
 
-- *Made* by ``PLF(...)`` and ``PLF._trusted`` given one array for both
-  sides (``PLF(...)`` validates it and stores one copy), so by
-  ``const_plf``; by the discrete constructors ``measures.from_atoms``
-  and ``DiscreteMeasure.to_measure``; by the M_n elements of
-  ``interval`` (``mn_element``'s and ``nearest_in_mn``'s); and by the
-  ``inverse`` of a step function, so ``padded_inverse`` and
-  ``measures.flip`` of a discrete measure give one.
+- *Made* by ``PLF(...)`` (validated, one copy stored) and ``PLF._trusted``
+  given one array for both sides: by ``const_plf``, ``measures``' discrete
+  constructors, ``interval``'s M_n elements and the ``inverse`` of a step
+  function, so by ``padded_inverse`` and ``flip`` of a discrete measure.
 - *Kept* by ``on_grid`` (one gather serves both sides),
   ``_without_empty_cells``, ``concat_plfs`` when every piece is one, and
   ``canonical`` when no two neighbours are equal (it returns ``self``).
   A merged run builds two arrays, since a run of zeros of both signs
   keeps -0.0 on the left and 0.0 on the right.
-- *Read* by ``inverse`` (its closed form, with no interleaving and no
-  tiling check), ``eval`` (a gather, with no interpolation),
-  ``canonical`` (one compare of neighbours), ``abs_pow_gap`` on two step
-  functions (one difference for both ends of its cells),
-  ``abs_pow_cells``/``_power_cells`` given ``b is a`` (the flat formula
-  alone) and ``Measure.is_discrete`` (it holds at once).
+- *Read* by ``inverse`` (a closed form, with no tiling check), ``eval``
+  (a gather), ``canonical`` (one compare of neighbours), ``_on_window``
+  (no window extension), ``abs_pow_gap`` on two step functions (one
+  difference for both ends of its cells), ``abs_pow_cells`` and
+  ``_power_cells`` given ``b is a`` (the flat formula alone) and
+  ``Measure.is_discrete`` (it holds at once).
 
+``PLF(...)``, ``PLF._trusted`` and the functions under *Kept* and *Read*
+are the only ones that branch on it, as
+``test_every_step_function_branch_is_a_listed_site`` checks.
 Every other operation builds two arrays; equal arrays still hold equal
 values, so only the cheap path is lost.  No bit moves: on a step
 function the general ``on_grid`` computes a ``yl`` equal to ``yr`` bit
@@ -240,31 +240,32 @@ class PLF:
         # rounding may poke past a segment endpoint; pin it back
         return np.minimum(np.maximum(v, lo), hi)
 
+    def _points(self, y, what: str) -> np.ndarray:
+        """``y`` as floats, every one in the domain, or ``InvalidInput``."""
+        arr = np.asarray(y, dtype=np.float64)
+        if not np.all((arr >= self.breaks[0]) & (arr <= self.breaks[-1])):  # NaN fails too
+            raise InvalidInput(f"{what} point outside the domain")
+        return arr
+
     def eval(self, y):
         """Right-continuous evaluation; the top break returns ``yr[-1]``."""
-        arr = np.asarray(y, dtype=np.float64)
-        lo, hi = self.breaks[0], self.breaks[-1]
-        if not np.all((arr >= lo) & (arr <= hi)):  # NaN fails too
-            raise InvalidInput("evaluation point outside the domain")
+        arr = self._points(y, "evaluation")
         k = self._segment_index(arr, "right")
         if self.yl is self.yr:  # every cell is flat, the top one included
             v = self.yl[k]
         else:
             v = self._interp(k, arr)
             v = np.where(arr == self.breaks[k], self.yl[k], v)
-            v = np.where(arr == hi, self.yr[-1], v)
+            v = np.where(arr == self.breaks[-1], self.yr[-1], v)
         return v if arr.ndim else float(v)
 
     def left_limit(self, y):
         """Limit from the left; at the bottom break returns ``yl[0]``."""
-        arr = np.asarray(y, dtype=np.float64)
-        lo, hi = self.breaks[0], self.breaks[-1]
-        if not np.all((arr >= lo) & (arr <= hi)):  # NaN fails too
-            raise InvalidInput("evaluation point outside the domain")
+        arr = self._points(y, "evaluation")
         k = self._segment_index(arr, "left")
         v = self._interp(k, arr)
         v = np.where(arr == self.breaks[k + 1], self.yr[k], v)
-        v = np.where(arr <= lo, self.yl[0], v)
+        v = np.where(arr <= self.breaks[0], self.yl[0], v)
         return v if arr.ndim else float(v)
 
     # ------------------------------------------------------------------
@@ -314,11 +315,9 @@ class PLF:
         return PLF._trusted(grid, nyl, nyr)
 
     def refine(self, points) -> "PLF":
-        pts = np.asarray(points, dtype=np.float64).ravel()
+        pts = self._points(points, "refinement").ravel()
         if pts.size == 0:
             return self
-        if not np.all((pts >= self.breaks[0]) & (pts <= self.breaks[-1])):  # NaN fails too
-            raise InvalidInput("refinement point outside the domain")
         return self.on_grid(*common_grid(self, points=[pts]))
 
     def restrict(self, lo: float, hi: float) -> "PLF":
@@ -380,9 +379,7 @@ class PLF:
 
     def prefix_integrals(self, points) -> np.ndarray:
         """Integral from the bottom break up to each point, vectorized."""
-        t = np.asarray(points, dtype=np.float64)
-        if not np.all((t >= self.breaks[0]) & (t <= self.breaks[-1])):  # NaN fails too
-            raise InvalidInput("integration point outside the domain")
+        t = self._points(points, "integration")
         cum = np.concatenate([[0.0], np.cumsum(self._cell_areas())])
         k = self._segment_index(t, "right")
         vt = self._interp(k, t)
@@ -625,6 +622,12 @@ def _envelope(F: PLF, G: PLF, extreme) -> PLF:
     return PLF._trusted(F.breaks, extreme(F.yl, G.yl), extreme(F.yr, G.yr))
 
 
+def _clipped(f: PLF, v: float) -> tuple[PLF, PLF]:
+    """``f.minimum(v)`` and ``f.maximum(v)`` from one crossing pass."""
+    pair = _with_crossings(f, _coerce(v, f))
+    return _envelope(*pair, np.minimum), _envelope(*pair, np.maximum)
+
+
 def plf_combine(fns: list[PLF], coeffs) -> PLF:
     """sum_i coeffs[i] * fns[i] on the common grid.
 
@@ -689,9 +692,8 @@ def plf_splice(low: PLF, high: PLF, t: float) -> PLF:
     nondecreasing (low's left limit at t at most high's value at t).
     """
     t = float(t)
+    _same_domain(low.breaks, high.breaks)
     lo, hi = low.support
-    if (lo, hi) != high.support:
-        raise InvalidInput("functions live on different domains")
     if t <= lo:
         return high
     if t >= hi:

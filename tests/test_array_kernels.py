@@ -16,26 +16,29 @@ midpoint.  The conftest fixture validates every ``PLF._trusted`` result.
 Oracles, kept verbatim in ``reference_kernels``: the searched common grid
 (the ``k`` of ``common_grid``, large merged pairs, the sorted/direct
 search), the tuple-path constructors and the loop inverse on large arrays
-and signed-zero ties, the step/general differentials of the grid, the
-distances, the inverse, ``eval``, ``canonical``, ``concat_plfs``,
-``cdf_eval`` and ``flip`` and the one-pass/windowed one (no old body),
-SHA-256 pins of multi-window distances and of a 10^5-atom flip and CDF,
-and the power cells at p not in {1, 2} and
-the M_n projection by bisection, which stay until those kernels change
-on purpose.  W1 and p = 2 cells are checked against mpmath at 50 digits,
-zero, signed-zero, crossing and 2-D broadcast cells included, and the
-projection against a 50-digit minimizer.  Two strict xfail tests hold
-known defects: a W1 cell crossing zero whose product ab underflows reads
-as a trapezoid, twice its value when a = -b; a Dirac certificate whose
-level shift is under half an ulp has eta at both ends.
+and signed-zero ties, and the power cells at p not in {1, 2} and the M_n
+projection by bisection, which stay until those kernels change on
+purpose.  Differentials with no old body: the windowed distance against
+one pass, and step functions (one array for ``yl`` and ``yr``) against
+the same values held as two arrays, one test per input kind (a step
+function, a pair, a discrete measure), beside a source scan that lists
+every function that branches on a step function.  SHA-256 pins hold
+multi-window distances and a 10^5-atom flip and CDF.  W1 and p = 2 cells
+are checked against mpmath at 50 digits, zero, signed-zero, crossing and
+2-D broadcast cells included, and the projection against a 50-digit
+minimizer.  A strict xfail test holds a known defect: a W1 cell crossing
+zero whose product ab underflows reads as a trapezoid, twice its value
+when a = -b.
 """
 
 from __future__ import annotations
 
+import ast
 import dataclasses
 import hashlib
 import warnings
 from fractions import Fraction
+from pathlib import Path
 from unittest import mock
 
 import mpmath
@@ -45,6 +48,7 @@ from hypothesis import example, given, reject, settings
 from hypothesis import strategies as st
 
 import reference_kernels as ref
+import wasserline
 from wasserline import (
     PLF,
     DiscreteMeasure,
@@ -596,33 +600,6 @@ def step_pairs(draw) -> tuple[Measure, Measure, bool]:
     return *mixed, False
 
 
-@settings(max_examples=200, deadline=None)
-@given(step_pairs())
-def test_step_pairs_match_the_general_path(pair):
-    """Two step functions regrid to one shared value array each and take
-    the kernel's flat formula alone; the same measures with separate
-    ``yl`` and ``yr`` take the general path, with the same bits."""
-    mu, nu, steps = pair
-    F, G = on_common_grid(mu.quantile, nu.quantile)
-    sF, sG = on_common_grid(_separate(mu).quantile, _separate(nu).quantile)
-    assert same_plf(F, sF) and same_plf(G, sG)
-    assert (F.yl is F.yr and G.yl is G.yr) == steps
-    got, shared = _gaps_and_kernel_ends(mu, nu)
-    want, separate = _gaps_and_kernel_ends(_separate(mu), _separate(nu))
-    assert all(same_bits(x, y) for x, y in zip(got, want))
-    assert shared == [steps] * len(shared) and not any(separate)
-    if F.num_segments > _GAP_BLOCK:
-        assert len(shared) > 4
-
-
-def test_discrete_measures_keep_one_value_array_on_the_common_grid():
-    mu = from_atoms([(-0.0, 0.25), (1.0, 0.5), (3.0, 0.25)])
-    nu = DiscreteMeasure(np.array([2.0, 0.5]), np.array([0.3, 0.7])).to_measure()
-    F, G = on_common_grid(mu.quantile, nu.quantile)
-    assert F.num_segments == 4
-    assert F.yl is F.yr and G.yl is G.yr
-
-
 def _step_maps(mu: Measure, nu: Measure) -> dict:
     """The value maps and nonnegative blends of two measures on the line."""
     return {
@@ -634,14 +611,27 @@ def _step_maps(mu: Measure, nu: Measure) -> dict:
     }
 
 
-@settings(max_examples=100, deadline=None)
-@given(st.integers(0, 2**32 - 1))
-def test_value_maps_and_blends_of_step_functions_keep_their_bits(seed):
-    rng = np.random.default_rng(seed)
-    mu, nu = sampling.random_discrete_measure(rng), sampling.random_discrete_measure(rng)
-    shared, separate = _step_maps(mu, nu), _step_maps(_separate(mu), _separate(nu))
-    for name in shared:
-        assert same_measure(shared[name](), separate[name]())
+@settings(max_examples=200, deadline=None)
+@given(step_pairs())
+def test_step_pairs_match_the_general_path(pair):
+    """Two step functions regrid to one shared value array each and take
+    the kernel's flat formula alone; the same measures with separate
+    ``yl`` and ``yr`` take the general path, with the same bits, and so
+    do the value maps and blends of a pair of at most one block."""
+    mu, nu, steps = pair
+    F, G = on_common_grid(mu.quantile, nu.quantile)
+    sF, sG = on_common_grid(_separate(mu).quantile, _separate(nu).quantile)
+    assert same_plf(F, sF) and same_plf(G, sG)
+    assert (F.yl is F.yr and G.yl is G.yr) == steps
+    got, shared = _gaps_and_kernel_ends(mu, nu)
+    want, separate = _gaps_and_kernel_ends(_separate(mu), _separate(nu))
+    assert all(same_bits(x, y) for x, y in zip(got, want))
+    assert shared == [steps] * len(shared) and not any(separate)
+    if F.num_segments > _GAP_BLOCK:
+        assert len(shared) > 4
+    else:
+        maps, separate_maps = _step_maps(mu, nu), _step_maps(_separate(mu), _separate(nu))
+        assert all(same_measure(maps[name](), separate_maps[name]()) for name in maps)
 
 
 @pytest.mark.parametrize("shared", [False, True])
@@ -655,79 +645,81 @@ def test_a_merged_run_of_signed_zeros_keeps_both_ends(shared):
     assert same_bits(got.yl, np.array([-0.0])) and same_bits(got.yr, np.array([0.0]))
 
 
-@st.composite
-def step_plfs(draw) -> tuple[PLF, PLF]:
-    """A step function on [0, 1] with runs of equal values, zeros of both
-    signs and constants, as one array for both sides and as two."""
-    f = draw(plfs())
-    return PLF(f.breaks, f.yl, f.yl), PLF(f.breaks, f.yl, f.yl.copy())
-
-
 @settings(max_examples=200, deadline=None)
-@given(step_plfs())
-def test_step_inverse_matches_the_interleaved_one(pair):
-    step, two = pair
+@given(plfs(), st.sampled_from([0.0, 0.5, 2.0]), st.sampled_from([0.0, 0.25, 3.0]), st.data())
+def test_step_functions_match_two_arrays(f, below, above, data):
+    """A step function with runs, zeros of both signs and constants, and
+    its values held as two arrays: every read gives the same bits, and
+    the results keep one array where ``plf``'s contract says."""
+    y, b = f.yl, f.breaks
+    step, two = PLF(b, y, y), PLF(b, y, y.copy())
     assert step.yl is step.yr and two.yl is not two.yr
     got, want = _outcome(PLF.inverse, step), _outcome(PLF.inverse, two)
     if isinstance(got, type):  # a constant, on both paths
         assert want is got
     else:
         assert same_plf(got, want) and got.yl is got.yr and want.yl is not want.yr
-
-
-@settings(max_examples=200, deadline=None)
-@given(step_plfs(), st.sampled_from([0.0, 0.5, 2.0]), st.sampled_from([0.0, 0.25, 3.0]))
-def test_step_padded_inverse_matches_the_general_one(pair, below, above):
-    step, two = pair
     v0, v1 = step.value_range
     lo, hi = v0 - below, v1 + above
     if lo == hi:  # a constant needs a pad
         hi = v1 + 1.0
-    got, want = step.padded_inverse(lo, hi), two.padded_inverse(lo, hi)
-    assert same_plf(got, want)
     # a constant's window is its two pads, step functions either way
-    assert got.yl is got.yr and (want.yl is not want.yr) == (v0 < v1)
-
-
-@settings(max_examples=200, deadline=None)
-@given(step_plfs(), st.lists(st.floats(0.0, 1.0), max_size=6))
-def test_step_eval_matches_the_interpolated_one(pair, drawn):
-    step, two = pair
-    b = step.breaks
-    # every break, the top one included, and the middle of every cell,
-    # some of them inside flats at -0.0 or 0.0
-    points = np.concatenate([b, 0.5 * (b[:-1] + b[1:]), drawn])
+    got, want = step.padded_inverse(lo, hi), two.padded_inverse(lo, hi)
+    assert same_plf(got, want) and got.yl is got.yr and (want.yl is not want.yr) == (v0 < v1)
+    # every break, the top one included, the middle of every cell, some
+    # of them inside flats at -0.0 or 0.0, and drawn points
+    points = np.concatenate([b, 0.5 * (b[:-1] + b[1:]), data.draw(st.lists(st.floats(0.0, 1.0), max_size=6))])
     assert same_bits(step.eval(points), two.eval(points))
-    for t in points:
-        assert same_bits(step.eval(float(t)), two.eval(float(t)))
-
-
-@settings(max_examples=200, deadline=None)
-@given(step_plfs())
-def test_step_canonical_matches_the_general_one(pair):
-    step, two = pair
-    got = step.canonical()
-    assert same_plf(got, two.canonical())
-    # no equal neighbours: nothing merges; a merged run keeps both ends,
-    # as two arrays (test_a_merged_run_of_signed_zeros_keeps_both_ends)
-    assert (got is step) == bool((step.yl[1:] != step.yl[:-1]).all())
-
-
-@settings(max_examples=200, deadline=None)
-@given(step_plfs(), st.data())
-def test_concatenated_step_functions_keep_one_array(pair, data):
-    step, _ = pair
+    assert all(same_bits(step.eval(t), two.eval(t)) for t in points.tolist())
+    # with no equal neighbours nothing merges and self comes back; a
+    # merged run keeps both ends, as two arrays
+    distinct = bool((y[1:] != y[:-1]).all())
+    want = two.canonical()
+    for got in (step.canonical(), Measure(Domain.REAL_LINE, step).quantile):
+        assert same_plf(got, want) and (got is step) == distinct == (got.yl is got.yr)
+    # pieces join into one array only when every piece has one
     m = step.num_segments
     cuts = sorted(set(data.draw(st.lists(st.integers(1, m), max_size=3))) | {0, m})
-    shared = [data.draw(st.booleans()) for _ in cuts[1:]]
-    pieces, separate = [], []
-    for (i, j), one in zip(zip(cuts, cuts[1:]), shared):
-        v = step.yl[i:j]
-        pieces.append(PLF(step.breaks[i : j + 1], v, v if one else v.copy()))
-        separate.append(PLF(step.breaks[i : j + 1], v, v.copy()))
+    shares = data.draw(st.lists(st.booleans(), min_size=len(cuts) - 1, max_size=len(cuts) - 1))
+    pieces = []
+    for i, j, one in zip(cuts, cuts[1:], shares):
+        v = y[i:j]
+        pieces.append(PLF(b[i : j + 1], v, v if one else v.copy()))
     got = concat_plfs(pieces)
-    assert same_plf(got, concat_plfs(separate)) and same_plf(got, step)
-    assert (got.yl is got.yr) == all(shared)
+    assert same_plf(got, two) and (got.yl is got.yr) == all(shares)
+
+
+# every function that branches on a step function: an ``is`` or ``is not``
+# between ``yl`` and ``yr`` (names or attributes), or between the
+# kernel's ``a`` and ``b``; each read has its case in the differentials
+_STEP_SITES = {
+    "plf.PLF.__post_init__", "plf.PLF._trusted", "plf.PLF.eval", "plf.PLF.on_grid", "plf.PLF.inverse",
+    "plf.PLF.canonical", "plf.concat_plfs", "plf._without_empty_cells", "plf._power_cells",
+    "plf.abs_pow_cells", "plf._on_window", "plf.abs_pow_gap", "measures.Measure.is_discrete",
+}
+
+
+def _step_sites(tree: ast.AST, scope: str) -> set[str]:
+    """The functions under ``tree``, named from ``scope``, that branch on a step function."""
+    sites = set()
+    for node in ast.iter_child_nodes(tree):
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            sites |= _step_sites(node, f"{scope}.{node.name}")
+            continue
+        if isinstance(node, ast.Compare) and any(isinstance(op, (ast.Is, ast.IsNot)) for op in node.ops):
+            names = {getattr(x, "id", None) or getattr(x, "attr", None) for x in (node.left, *node.comparators)}
+            if names in ({"yl", "yr"}, {"a", "b"}):
+                sites.add(scope)
+        sites |= _step_sites(node, scope)
+    return sites
+
+
+def test_every_step_function_branch_is_a_listed_site():
+    src = Path(wasserline.__file__).parent
+    found = set()
+    for path in sorted(src.glob("*.py")):
+        found |= _step_sites(ast.parse(path.read_text(encoding="utf-8")), path.stem)
+    assert found == _STEP_SITES
 
 
 @st.composite
@@ -1470,12 +1462,20 @@ def test_dirac_certificate_is_an_adjacent_pair_with_eta_as_a_midpoint():
         _check_certificate(*case)
 
 
-@pytest.mark.xfail(strict=True, reason="both ends round back to eta (FOUND line on dirac_certificate in CHANGES.md)")
 def test_dirac_certificate_of_a_sub_ulp_level_shift():
     # half the largest distance shifts the junction level by under half
     # an ulp
     eta, n = _ONE_ULP_ATOM
     _check_certificate(eta, 0.5 * n)
+
+
+@pytest.mark.parametrize("x, n", [(3.0, 1e-17), (1e10, 1e-10)])
+def test_dirac_certificate_of_a_sub_ulp_atom_shift(x, n):
+    # the atom moves one ulp each way: the nearest pair the floats allow
+    lo, hi = dirac_certificate(from_atoms([(x, 1.0)]), n)
+    down, up = np.nextafter(x, -np.inf), np.nextafter(x, np.inf)
+    assert same_measure(lo, from_atoms([(down, 1.0)])) and same_measure(hi, from_atoms([(up, 1.0)]))
+    assert is_adjacent(lo, hi) is not None and wasserstein_distance(lo, hi, 1.0) == up - down
 
 
 def _check_certificate(eta: Measure, n: float) -> None:
