@@ -20,8 +20,9 @@ and signed-zero ties, and the power cells at p not in {1, 2} and the M_n
 projection by bisection, which stay until those kernels change on
 purpose.  Differentials with no old body: the windowed distance against
 one pass, and step functions (one array for ``yl`` and ``yr``) against
-the same values held as two arrays, one test per input kind (a step
-function, a pair, a discrete measure), beside a source scan that lists
+the same values held as two arrays (the grid and the distances, the
+inverse, ``eval``, ``canonical``, ``concat_plfs``, the value maps and
+blends, ``cdf_eval`` and ``flip``), beside a source scan that lists
 every function that branches on a step function.  SHA-256 pins hold
 multi-window distances and a 10^5-atom flip and CDF.  W1 and p = 2 cells
 are checked against mpmath at 50 digits, zero, signed-zero, crossing and
@@ -600,24 +601,12 @@ def step_pairs(draw) -> tuple[Measure, Measure, bool]:
     return *mixed, False
 
 
-def _step_maps(mu: Measure, nu: Measure) -> dict:
-    """The value maps and nonnegative blends of two measures on the line."""
-    return {
-        "map_values": lambda: Measure(mu.domain, mu.quantile.map_values(2.5, -1.0)),
-        "translation": lambda: apply(Translation(nu), mu),
-        "hull": lambda: convex_hull_combination([(mu, 0.25), (nu, 0.75)]),
-        "geodesic": lambda: geodesic_point(mu, nu, 0.3),
-        "reflection": lambda: pushforward_affine(mu, -1, 2.0),
-    }
-
-
 @settings(max_examples=200, deadline=None)
 @given(step_pairs())
 def test_step_pairs_match_the_general_path(pair):
     """Two step functions regrid to one shared value array each and take
     the kernel's flat formula alone; the same measures with separate
-    ``yl`` and ``yr`` take the general path, with the same bits, and so
-    do the value maps and blends of a pair of at most one block."""
+    ``yl`` and ``yr`` take the general path, with the same bits."""
     mu, nu, steps = pair
     F, G = on_common_grid(mu.quantile, nu.quantile)
     sF, sG = on_common_grid(_separate(mu).quantile, _separate(nu).quantile)
@@ -629,9 +618,35 @@ def test_step_pairs_match_the_general_path(pair):
     assert shared == [steps] * len(shared) and not any(separate)
     if F.num_segments > _GAP_BLOCK:
         assert len(shared) > 4
-    else:
-        maps, separate_maps = _step_maps(mu, nu), _step_maps(_separate(mu), _separate(nu))
-        assert all(same_measure(maps[name](), separate_maps[name]()) for name in maps)
+
+
+def test_discrete_measures_keep_one_value_array_on_the_common_grid():
+    mu = from_atoms([(-0.0, 0.25), (1.0, 0.5), (3.0, 0.25)])
+    nu = DiscreteMeasure(np.array([2.0, 0.5]), np.array([0.3, 0.7])).to_measure()
+    F, G = on_common_grid(mu.quantile, nu.quantile)
+    assert F.num_segments == 4
+    assert F.yl is F.yr and G.yl is G.yr
+
+
+def _step_maps(mu: Measure, nu: Measure) -> dict:
+    """The value maps and nonnegative blends of two measures on the line."""
+    return {
+        "map_values": lambda: Measure(mu.domain, mu.quantile.map_values(2.5, -1.0)),
+        "translation": lambda: apply(Translation(nu), mu),
+        "hull": lambda: convex_hull_combination([(mu, 0.25), (nu, 0.75)]),
+        "geodesic": lambda: geodesic_point(mu, nu, 0.3),
+        "reflection": lambda: pushforward_affine(mu, -1, 2.0),
+    }
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(0, 2**32 - 1))
+def test_value_maps_and_blends_of_step_functions_keep_their_bits(seed):
+    rng = np.random.default_rng(seed)
+    mu, nu = sampling.random_discrete_measure(rng), sampling.random_discrete_measure(rng)
+    shared, separate = _step_maps(mu, nu), _step_maps(_separate(mu), _separate(nu))
+    for name in shared:
+        assert same_measure(shared[name](), separate[name]())
 
 
 @pytest.mark.parametrize("shared", [False, True])
@@ -645,48 +660,81 @@ def test_a_merged_run_of_signed_zeros_keeps_both_ends(shared):
     assert same_bits(got.yl, np.array([-0.0])) and same_bits(got.yr, np.array([0.0]))
 
 
+@st.composite
+def step_plfs(draw) -> tuple[PLF, PLF]:
+    """A step function on [0, 1] with runs of equal values, zeros of both
+    signs and constants, as one array for both sides and as two."""
+    f = draw(plfs())
+    return PLF(f.breaks, f.yl, f.yl), PLF(f.breaks, f.yl, f.yl.copy())
+
+
 @settings(max_examples=200, deadline=None)
-@given(plfs(), st.sampled_from([0.0, 0.5, 2.0]), st.sampled_from([0.0, 0.25, 3.0]), st.data())
-def test_step_functions_match_two_arrays(f, below, above, data):
-    """A step function with runs, zeros of both signs and constants, and
-    its values held as two arrays: every read gives the same bits, and
-    the results keep one array where ``plf``'s contract says."""
-    y, b = f.yl, f.breaks
-    step, two = PLF(b, y, y), PLF(b, y, y.copy())
+@given(step_plfs())
+def test_step_inverse_matches_the_interleaved_one(pair):
+    step, two = pair
     assert step.yl is step.yr and two.yl is not two.yr
     got, want = _outcome(PLF.inverse, step), _outcome(PLF.inverse, two)
     if isinstance(got, type):  # a constant, on both paths
         assert want is got
     else:
         assert same_plf(got, want) and got.yl is got.yr and want.yl is not want.yr
+
+
+@settings(max_examples=200, deadline=None)
+@given(step_plfs(), st.sampled_from([0.0, 0.5, 2.0]), st.sampled_from([0.0, 0.25, 3.0]))
+def test_step_padded_inverse_matches_the_general_one(pair, below, above):
+    step, two = pair
     v0, v1 = step.value_range
     lo, hi = v0 - below, v1 + above
     if lo == hi:  # a constant needs a pad
         hi = v1 + 1.0
-    # a constant's window is its two pads, step functions either way
     got, want = step.padded_inverse(lo, hi), two.padded_inverse(lo, hi)
-    assert same_plf(got, want) and got.yl is got.yr and (want.yl is not want.yr) == (v0 < v1)
-    # every break, the top one included, the middle of every cell, some
-    # of them inside flats at -0.0 or 0.0, and drawn points
-    points = np.concatenate([b, 0.5 * (b[:-1] + b[1:]), data.draw(st.lists(st.floats(0.0, 1.0), max_size=6))])
+    assert same_plf(got, want)
+    # a constant's window is its two pads, step functions either way
+    assert got.yl is got.yr and (want.yl is not want.yr) == (v0 < v1)
+
+
+@settings(max_examples=200, deadline=None)
+@given(step_plfs(), st.lists(st.floats(0.0, 1.0), max_size=6))
+def test_step_eval_matches_the_interpolated_one(pair, drawn):
+    step, two = pair
+    b = step.breaks
+    # every break, the top one included, and the middle of every cell,
+    # some of them inside flats at -0.0 or 0.0
+    points = np.concatenate([b, 0.5 * (b[:-1] + b[1:]), drawn])
     assert same_bits(step.eval(points), two.eval(points))
-    assert all(same_bits(step.eval(t), two.eval(t)) for t in points.tolist())
-    # with no equal neighbours nothing merges and self comes back; a
-    # merged run keeps both ends, as two arrays
-    distinct = bool((y[1:] != y[:-1]).all())
+    for t in points:
+        assert same_bits(step.eval(float(t)), two.eval(float(t)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(step_plfs())
+def test_step_canonical_matches_the_general_one(pair):
+    step, two = pair
+    # no equal neighbours: nothing merges, and self comes back, as does
+    # Measure(...); a merged run keeps both ends, as two arrays
+    # (test_a_merged_run_of_signed_zeros_keeps_both_ends)
+    distinct = bool((step.yl[1:] != step.yl[:-1]).all())
     want = two.canonical()
     for got in (step.canonical(), Measure(Domain.REAL_LINE, step).quantile):
         assert same_plf(got, want) and (got is step) == distinct == (got.yl is got.yr)
-    # pieces join into one array only when every piece has one
+
+
+@settings(max_examples=200, deadline=None)
+@given(step_plfs(), st.data())
+def test_concatenated_step_functions_keep_one_array(pair, data):
+    step, _ = pair
     m = step.num_segments
     cuts = sorted(set(data.draw(st.lists(st.integers(1, m), max_size=3))) | {0, m})
-    shares = data.draw(st.lists(st.booleans(), min_size=len(cuts) - 1, max_size=len(cuts) - 1))
-    pieces = []
-    for i, j, one in zip(cuts, cuts[1:], shares):
-        v = y[i:j]
-        pieces.append(PLF(b[i : j + 1], v, v if one else v.copy()))
+    shared = [data.draw(st.booleans()) for _ in cuts[1:]]
+    pieces, separate = [], []
+    for (i, j), one in zip(zip(cuts, cuts[1:]), shared):
+        v = step.yl[i:j]
+        pieces.append(PLF(step.breaks[i : j + 1], v, v if one else v.copy()))
+        separate.append(PLF(step.breaks[i : j + 1], v, v.copy()))
     got = concat_plfs(pieces)
-    assert same_plf(got, two) and (got.yl is got.yr) == all(shares)
+    assert same_plf(got, concat_plfs(separate)) and same_plf(got, step)
+    assert (got.yl is got.yr) == all(shared)
 
 
 # every function that branches on a step function: an ``is`` or ``is not``
